@@ -120,7 +120,7 @@ fn drought_fleet() -> (MultiSiteEngine, impl Fn(usize) -> RunReport) {
         .collect();
     let multi = MultiSiteEngine::new(engines)
         .unwrap()
-        .with_transfer_cap(Energy::from_mwh(2.0))
+        .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
         .unwrap();
     let run_site = move |multi: &MultiSiteEngine, s: usize| -> RunReport {
         let engine = &multi.sites()[s];
@@ -274,7 +274,7 @@ fn coordinated_run_is_invariant_to_within_frame_site_order() {
         assert_eq!(directives.len(), 3);
         for &s in &[2usize, 0, 1] {
             ctls[s].receive_directive(&directives[s]);
-            runs[s].step_frame(&mut ctls[s]).unwrap();
+            runs[s].step_frame(&multi.sites()[s], &mut ctls[s]).unwrap();
         }
         let ex = multi.exchange_at(frame, &runs).unwrap();
         let settled = planner.settle(&ex);
@@ -283,7 +283,11 @@ fn coordinated_run_is_invariant_to_within_frame_site_order() {
         total.savings += settled.savings;
         total.wheeling += settled.wheeling;
     }
-    let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
+    let manual: Vec<RunReport> = runs
+        .into_iter()
+        .zip(multi.sites())
+        .map(|(r, site)| r.finish(site).unwrap())
+        .collect();
     assert_eq!(manual, canonical.sites);
     assert_eq!(total.sent, canonical.energy_transferred);
     assert_eq!(total.delivered, canonical.energy_delivered);
@@ -374,7 +378,7 @@ fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
             if !directives.is_empty() {
                 ctls[s].receive_directive(&directives[s]);
             }
-            runs[s].step_frame(&mut ctls[s]).unwrap();
+            runs[s].step_frame(&multi.sites()[s], &mut ctls[s]).unwrap();
         }
         let ex = multi.exchange_at(frame, &runs).unwrap();
         let settled = planner.settle(&ex);
@@ -383,7 +387,11 @@ fn fleet_scale_100_site_ring_is_deterministic_across_threads_and_order() {
         total.savings += settled.savings;
         total.wheeling += settled.wheeling;
     }
-    let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
+    let manual: Vec<RunReport> = runs
+        .into_iter()
+        .zip(multi.sites())
+        .map(|(r, site)| r.finish(site).unwrap())
+        .collect();
     assert_eq!(manual, serial.sites);
     assert_eq!(total.sent, serial.energy_transferred);
     assert_eq!(total.delivered, serial.energy_delivered);

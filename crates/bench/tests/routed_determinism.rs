@@ -118,7 +118,7 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
             if !directives.is_empty() {
                 ctls[s].receive_directive(&directives[s]);
             }
-            runs[s].step_frame(&mut ctls[s]).unwrap();
+            runs[s].step_frame(&multi.sites()[s], &mut ctls[s]).unwrap();
         }
         let ex = multi.exchange_at(frame, &runs).unwrap();
         let (settled, plan) = routed.settle_routed(&ex, &load);
@@ -128,7 +128,11 @@ fn routed_run_is_invariant_to_within_frame_site_order() {
         total.wheeling += settled.wheeling;
         workload.settle(frame, &ex, &plan, multi.interconnect());
     }
-    let manual: Vec<RunReport> = runs.into_iter().map(|r| r.finish().unwrap()).collect();
+    let manual: Vec<RunReport> = runs
+        .into_iter()
+        .zip(multi.sites())
+        .map(|(r, site)| r.finish(site).unwrap())
+        .collect();
     let manual_load = workload.finish();
     assert_eq!(manual, canonical.sites);
     assert_eq!(manual_load, canonical.load);

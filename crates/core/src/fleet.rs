@@ -1397,7 +1397,7 @@ mod tests {
             .collect();
         let multi = MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(1.0))
+            .with_interconnect(Interconnect::pooled(2, Energy::from_mwh(1.0)).unwrap())
             .unwrap();
         let mut planner =
             FleetPlanner::new(Interconnect::pooled(2, Energy::from_mwh(9.0)).unwrap());

@@ -363,7 +363,7 @@ mod tests {
         let mut ctl = fresh();
         let mut run = engine.begin().unwrap();
         for _ in 0..3 {
-            run.step_frame(&mut ctl).unwrap();
+            run.step_frame(&engine, &mut ctl).unwrap();
         }
         let engine_state = run.state();
         let ctl_state = ctl.save_state();
@@ -372,9 +372,9 @@ mod tests {
         restored.load_state(&ctl_state).unwrap();
         let mut resumed = engine.resume(engine_state).unwrap();
         while !resumed.is_done() {
-            resumed.step_frame(&mut restored).unwrap();
+            resumed.step_frame(&engine, &mut restored).unwrap();
         }
-        assert_eq!(resumed.finish().unwrap(), full);
+        assert_eq!(resumed.finish(&engine).unwrap(), full);
     }
 
     #[test]

@@ -566,7 +566,7 @@ mod tests {
         let mut ctl = SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap();
         let mut run = engine.begin().unwrap();
         for _ in 0..3 {
-            run.step_frame(&mut ctl).unwrap();
+            run.step_frame(&engine, &mut ctl).unwrap();
         }
         let engine_state = run.state();
         let ctl_state = ctl.save_state();
@@ -577,9 +577,9 @@ mod tests {
         assert_eq!(restored.virtual_queue_y(), ctl.virtual_queue_y());
         let mut resumed = engine.resume(engine_state).unwrap();
         while !resumed.is_done() {
-            resumed.step_frame(&mut restored).unwrap();
+            resumed.step_frame(&engine, &mut restored).unwrap();
         }
-        assert_eq!(resumed.finish().unwrap(), full);
+        assert_eq!(resumed.finish(&engine).unwrap(), full);
     }
 
     #[test]

@@ -55,5 +55,8 @@ pub mod snapshot;
 pub use error::ServeError;
 pub use protocol::{Fault, RawRequest, Response, SCHEMA_VERSION};
 pub use server::{replay_file, serve, ServeOptions, ServeOutcome, SessionServer};
-pub use session::{FleetSession, Session, SessionConfig, SessionSnapshot, SingleSession, TickData};
+pub use session::{
+    tick_data, FleetSession, Session, SessionConfig, SessionSnapshot, SingleSession,
+    MAX_SLOT_RECORDS,
+};
 pub use snapshot::{snapshot_salt, LoadedSnapshot, SnapshotFile, SnapshotStore, SNAPSHOT_MAGIC};

@@ -169,7 +169,9 @@ pub enum Response {
         /// Whether every frame of the horizon has now been stepped.
         done: bool,
     },
-    /// A snapshot was written and fsync-renamed into place.
+    /// A snapshot was written to a temporary file and atomically renamed
+    /// into place. There is no fsync: the snapshot survives a killed
+    /// process, not a power loss.
     Snapshotted {
         /// Next coarse frame recorded in the snapshot.
         frame: usize,

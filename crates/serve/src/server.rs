@@ -13,7 +13,7 @@ use dpss_sim::RunReport;
 
 use crate::error::ServeError;
 use crate::protocol::{Fault, RawRequest, Response};
-use crate::session::{Session, SessionConfig, SessionSnapshot, TickData};
+use crate::session::{tick_data, Session, SessionConfig, SessionSnapshot};
 use crate::snapshot::SnapshotStore;
 
 /// How a serve loop should run.
@@ -162,57 +162,12 @@ impl SessionServer {
                 let Some(frame) = raw.frame else {
                     return Err(Fault::new("protocol", "tick is missing its frame number"));
                 };
-                let data = TickData::from_request(&raw, single.config.slots_per_frame)?;
-                let step = single.tick(frame, &data)?;
-                Ok((
-                    Response::Ticked {
-                        frame: step.frame,
-                        purchased_lt_mwh: step.purchased_lt_mwh,
-                        purchased_rt_mwh: step.purchased_rt_mwh,
-                        cost_dollars: step.cost_dollars,
-                        battery_mwh: step.battery_mwh,
-                        backlog_mwh: step.backlog_mwh,
-                        done: step.done,
-                    },
-                    false,
-                ))
+                let data = tick_data(&raw, single.config.slots_per_frame)?;
+                Ok((single.tick(frame, &data)?, false))
             }
             "step" => match self.session_mut()? {
-                Session::Single(single) => {
-                    if single.config.mode == "stream" {
-                        return Err(Fault::new(
-                            "protocol",
-                            "stream sessions advance via tick, not step",
-                        ));
-                    }
-                    let step = single.step()?;
-                    Ok((
-                        Response::Stepped {
-                            frame: step.frame,
-                            purchased_lt_mwh: step.purchased_lt_mwh,
-                            purchased_rt_mwh: step.purchased_rt_mwh,
-                            cost_dollars: step.cost_dollars,
-                            battery_mwh: step.battery_mwh,
-                            backlog_mwh: step.backlog_mwh,
-                            done: step.done,
-                        },
-                        false,
-                    ))
-                }
-                Session::Fleet(fleet) => {
-                    let step = fleet.step()?;
-                    Ok((
-                        Response::FleetStepped {
-                            frame: step.frame,
-                            cost_dollars: step.cost_dollars,
-                            transferred_mwh: step.transferred_mwh,
-                            savings_dollars: step.savings_dollars,
-                            directives: step.directives,
-                            done: step.done,
-                        },
-                        false,
-                    ))
-                }
+                Session::Single(single) => Ok((single.step()?, false)),
+                Session::Fleet(fleet) => Ok((fleet.step()?, false)),
             },
             "snapshot" => {
                 let Some(store) = self.store.clone() else {

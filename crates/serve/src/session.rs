@@ -1,20 +1,27 @@
-//! Resumable control sessions.
+//! Live control sessions.
 //!
-//! A session wraps the batch engines in a *transient-resume* loop: the
-//! durable state is a plain-data [`EngineRunState`] (plus controller and
-//! dispatcher state), and every step rehydrates an
-//! [`EngineRun`] from it, advances one coarse frame,
-//! and stores the state back. Because `Engine::resume` reconstructs the
-//! exact mid-month state, a session that is snapshotted, killed and
-//! resumed finishes with a report byte-identical to an uninterrupted
+//! A session owns its engines and one in-flight run over them — an
+//! [`EngineRun`] for one datacenter, a [`FleetRun`] for a fleet — and
+//! steps that run in place, one coarse frame per request. Nothing is
+//! rebuilt per request: a stream tick writes its frame into the engine's
+//! traces ([`Engine::write_frame`], which checks only that frame) and
+//! steps. The plain-data [`EngineRunState`] is produced only when a
+//! snapshot is taken (plus controller and dispatcher state); on restore
+//! [`Engine::resume`] reinstates the exact mid-month state, so a session
+//! that is snapshotted, killed and resumed finishes with a report
+//! byte-identical to an uninterrupted
 //! [`Engine::run`](dpss_sim::Engine::run) — the property the
 //! `resume_equivalence` suite pins for every built-in pack variant.
 //!
 //! Two shapes exist: [`SingleSession`] (one datacenter; `scenario`,
 //! `pack` or tick-driven `stream` traces) and [`FleetSession`] (several
-//! sites stepped in lockstep over an interconnect, replicating
-//! [`dpss_sim::MultiSiteEngine::run_with`] frame by frame with the dispatcher in
-//! the loop).
+//! sites stepped through [`FleetRun::step_frame`], the same
+//! frame-lockstep sequence [`dpss_sim::MultiSiteEngine::run_with`]
+//! runs, with the dispatcher in the loop).
+//!
+//! Session size is capped before anything is allocated: at most 512
+//! sites and [`MAX_SLOT_RECORDS`] slot records (frames × slots per frame
+//! × sites).
 
 use std::fmt;
 
@@ -22,17 +29,25 @@ use serde::{Deserialize, Serialize};
 
 use dpss_core::{FleetPlanner, FleetPlannerState, RecedingHorizon, SmartDpss, SmartDpssConfig};
 use dpss_sim::{
-    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetDispatcher,
-    FrameDirective, FrameSettlement, Interconnect, MultiSiteReport, RunReport, SimParams,
+    Controller, ControllerState, Engine, EngineRun, EngineRunState, FleetDispatcher, FleetRun,
+    FrameSettlement, Interconnect, MultiSiteEngine, MultiSiteReport, RunReport, SimParams,
+    UnroutedDispatcher,
 };
-use dpss_traces::{Scenario, ScenarioPack, TraceSet};
+use dpss_traces::{FrameTraces, Scenario, ScenarioPack, TraceSet};
 use dpss_units::{Energy, Money, Price, SlotClock};
 
-use crate::protocol::{Fault, RawRequest};
+use crate::protocol::{Fault, RawRequest, Response};
 
 /// Interconnect capacity per pooled link in the default fleet topology,
 /// MWh per frame (mirrors the bench sweep's default).
 const DEFAULT_LINK_CAP_MWH: f64 = 2.0;
+
+/// Largest session the protocol admits, in slot records: frames × slots
+/// per frame × sites. Every record costs the session a few trace
+/// entries (plus a recorded outcome in fleets), so this bounds what one
+/// `init` can make the daemon allocate. 2^21 admits a 512-site month
+/// (380,928 records) with room to spare.
+pub const MAX_SLOT_RECORDS: usize = 1 << 21;
 
 /// Everything needed to rebuild a session's engines from scratch:
 /// the deterministic trace recipe, the plant, and the control roster.
@@ -172,6 +187,20 @@ impl SessionConfig {
                 format!("sites {} exceeds the protocol cap of 512", self.sites),
             ));
         }
+        let records = self
+            .days
+            .checked_mul(self.slots_per_frame)
+            .and_then(|r| r.checked_mul(self.sites));
+        if records.is_none_or(|r| r > MAX_SLOT_RECORDS) {
+            return Err(Fault::new(
+                "protocol",
+                format!(
+                    "{} frames × {} slots × {} sites exceeds the protocol cap of \
+                     {MAX_SLOT_RECORDS} slot records",
+                    self.days, self.slots_per_frame, self.sites
+                ),
+            ));
+        }
         self.clock().map(|_| ())
     }
 
@@ -217,102 +246,54 @@ fn build_controller(
     }
 }
 
-/// One frame's worth of tick data in a stream session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TickData {
-    /// Long-term market price for the frame, $/MWh.
-    pub price_lt: f64,
-    /// Per-slot real-time prices, $/MWh.
-    pub price_rt: Vec<f64>,
-    /// Per-slot delay-sensitive demand, MWh.
-    pub demand_ds: Vec<f64>,
-    /// Per-slot delay-tolerant demand, MWh.
-    pub demand_dt: Vec<f64>,
-    /// Per-slot renewable generation, MWh.
-    pub renewable: Vec<f64>,
-}
-
-impl TickData {
-    /// Extracts and validates tick data from a `tick` request.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `protocol` [`Fault`] for missing fields, wrong series
-    /// lengths, or non-finite / negative values.
-    pub fn from_request(req: &RawRequest, slots_per_frame: usize) -> Result<Self, Fault> {
-        fn series(field: &str, values: &Option<Vec<f64>>, want: usize) -> Result<Vec<f64>, Fault> {
-            let Some(values) = values else {
-                return Err(Fault::new("protocol", format!("tick is missing {field}")));
-            };
-            if values.len() != want {
-                return Err(Fault::new(
-                    "protocol",
-                    format!("{field} has {} slots, expected {want}", values.len()),
-                ));
-            }
-            for v in values {
-                if !v.is_finite() || *v < 0.0 {
-                    return Err(Fault::new(
-                        "protocol",
-                        format!("{field} contains a non-finite or negative value"),
-                    ));
-                }
-            }
-            Ok(values.clone())
-        }
-        let Some(price_lt) = req.price_lt else {
-            return Err(Fault::new("protocol", "tick is missing price_lt"));
+/// Extracts and validates one frame of stream data from a `tick`
+/// request.
+///
+/// # Errors
+///
+/// Returns a `protocol` [`Fault`] for missing fields, wrong series
+/// lengths, or non-finite / negative values.
+pub fn tick_data(req: &RawRequest, slots_per_frame: usize) -> Result<FrameTraces, Fault> {
+    fn series<T>(
+        field: &str,
+        values: &Option<Vec<f64>>,
+        want: usize,
+        unit: fn(f64) -> T,
+    ) -> Result<Vec<T>, Fault> {
+        let Some(values) = values else {
+            return Err(Fault::new("protocol", format!("tick is missing {field}")));
         };
-        if !price_lt.is_finite() || price_lt < 0.0 {
+        if values.len() != want {
             return Err(Fault::new(
                 "protocol",
-                "price_lt must be finite and non-negative",
+                format!("{field} has {} slots, expected {want}", values.len()),
             ));
         }
-        Ok(TickData {
-            price_lt,
-            price_rt: series("price_rt", &req.price_rt, slots_per_frame)?,
-            demand_ds: series("demand_ds", &req.demand_ds, slots_per_frame)?,
-            demand_dt: series("demand_dt", &req.demand_dt, slots_per_frame)?,
-            renewable: series("renewable", &req.renewable, slots_per_frame)?,
-        })
+        if values.iter().any(|v| !v.is_finite() || *v < 0.0) {
+            return Err(Fault::new(
+                "protocol",
+                format!("{field} contains a non-finite or negative value"),
+            ));
+        }
+        Ok(values.iter().copied().map(unit).collect())
     }
-}
-
-/// What one stepped frame looked like, for the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameStep {
-    /// The coarse frame that was stepped.
-    pub frame: usize,
-    /// Long-term energy purchased this frame, MWh.
-    pub purchased_lt_mwh: f64,
-    /// Real-time energy purchased this frame, MWh.
-    pub purchased_rt_mwh: f64,
-    /// Cumulative cost so far, dollars.
-    pub cost_dollars: f64,
-    /// Battery level after the frame, MWh.
-    pub battery_mwh: f64,
-    /// Delay-tolerant backlog after the frame, MWh.
-    pub backlog_mwh: f64,
-    /// Whether every frame of the horizon has now been stepped.
-    pub done: bool,
-}
-
-/// What one stepped fleet frame looked like, for the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetStep {
-    /// The coarse frame that was stepped.
-    pub frame: usize,
-    /// Cumulative fleet cost so far (pre-settlement), dollars.
-    pub cost_dollars: f64,
-    /// Cumulative energy sent over the interconnect, MWh.
-    pub transferred_mwh: f64,
-    /// Cumulative real-time cost displaced by transfers, dollars.
-    pub savings_dollars: f64,
-    /// Directives applied to the sites before this frame.
-    pub directives: Vec<FrameDirective>,
-    /// Whether every frame of the horizon has now been stepped.
-    pub done: bool,
+    let Some(price_lt) = req.price_lt else {
+        return Err(Fault::new("protocol", "tick is missing price_lt"));
+    };
+    if !price_lt.is_finite() || price_lt < 0.0 {
+        return Err(Fault::new(
+            "protocol",
+            "price_lt must be finite and non-negative",
+        ));
+    }
+    let t = slots_per_frame;
+    Ok(FrameTraces {
+        price_lt: Price::from_dollars_per_mwh(price_lt),
+        price_rt: series("price_rt", &req.price_rt, t, Price::from_dollars_per_mwh)?,
+        demand_ds: series("demand_ds", &req.demand_ds, t, Energy::from_mwh)?,
+        demand_dt: series("demand_dt", &req.demand_dt, t, Energy::from_mwh)?,
+        renewable: series("renewable", &req.renewable, t, Energy::from_mwh)?,
+    })
 }
 
 /// Durable image of a single-site session (the snapshot payload body).
@@ -437,8 +418,8 @@ impl Session {
     #[must_use]
     pub fn next_frame(&self) -> usize {
         match self {
-            Session::Single(s) => s.run_state.next_frame,
-            Session::Fleet(s) => s.next_frame,
+            Session::Single(s) => s.run.frames_completed(),
+            Session::Fleet(s) => s.run.frames_completed(),
         }
     }
 
@@ -446,8 +427,8 @@ impl Session {
     #[must_use]
     pub fn frames(&self) -> usize {
         match self {
-            Session::Single(s) => s.clock.frames(),
-            Session::Fleet(s) => s.clock.frames(),
+            Session::Single(s) => s.config.days,
+            Session::Fleet(s) => s.config.days,
         }
     }
 
@@ -462,11 +443,9 @@ impl Session {
 pub struct SingleSession {
     /// The rebuild recipe.
     pub config: SessionConfig,
-    clock: SlotClock,
-    truth: TraceSet,
     engine: Engine,
     controller: Box<dyn Controller>,
-    run_state: EngineRunState,
+    run: EngineRun,
     /// Frames whose trace data has been supplied. Stream sessions grow
     /// this one tick at a time; scenario/pack sessions start full.
     filled: usize,
@@ -476,7 +455,7 @@ impl fmt::Debug for SingleSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SingleSession")
             .field("config", &self.config)
-            .field("next_frame", &self.run_state.next_frame)
+            .field("next_frame", &self.run.frames_completed())
             .field("filled", &self.filled)
             .finish_non_exhaustive()
     }
@@ -521,14 +500,12 @@ impl SingleSession {
     pub fn new(config: SessionConfig) -> Result<Self, Fault> {
         let clock = config.clock()?;
         let params = config.params();
-        let truth = source_traces(&config, clock)?;
-        let engine = Engine::new(params, truth.clone())
+        let engine = Engine::new(params, source_traces(&config, clock)?)
             .map_err(|e| Fault::new("protocol", format!("engine rejected traces: {e}")))?;
         let controller = build_controller(&config.controller, params, clock)?;
-        let run_state = engine
+        let run = engine
             .begin()
-            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?
-            .state();
+            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?;
         let filled = if config.mode == "stream" {
             0
         } else {
@@ -536,11 +513,9 @@ impl SingleSession {
         };
         Ok(SingleSession {
             config,
-            clock,
-            truth,
             engine,
             controller,
-            run_state,
+            run,
             filled,
         })
     }
@@ -555,18 +530,14 @@ impl SingleSession {
                     "stream snapshot is missing its trace state",
                 ));
             };
-            truth
-                .validate()
-                .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
-            if truth.clock != session.clock {
+            if truth.clock != session.engine.truth().clock {
                 return Err(Fault::new(
                     "snapshot",
                     "snapshot traces disagree with the session calendar",
                 ));
             }
-            session.engine = Engine::new(session.config.params(), truth.clone())
+            session.engine = Engine::new(session.config.params(), truth)
                 .map_err(|e| Fault::new("snapshot", format!("snapshot traces invalid: {e}")))?;
-            session.truth = truth;
             if image.filled != image.run_state.next_frame {
                 return Err(Fault::new(
                     "snapshot",
@@ -579,17 +550,15 @@ impl SingleSession {
                 "non-stream snapshot unexpectedly carries trace state",
             ));
         }
-        // Let the engine vet the run state before adopting it.
-        session
+        session.run = session
             .engine
-            .resume(image.run_state.clone())
+            .resume(image.run_state)
             .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
-        session.run_state = image.run_state;
         session
             .controller
             .load_state(&image.controller)
             .map_err(|e| Fault::new("snapshot", format!("controller state rejected: {e}")))?;
-        session.filled = image.filled.min(session.clock.frames());
+        session.filled = image.filled.min(session.config.days);
         Ok(session)
     }
 
@@ -599,27 +568,24 @@ impl SingleSession {
         SessionSnapshot {
             config: self.config.clone(),
             single: Some(SingleSnapshot {
-                run_state: self.run_state.clone(),
+                run_state: self.run.state(),
                 controller: self.controller.save_state(),
                 filled: self.filled,
-                truth: if self.config.mode == "stream" {
-                    Some(self.truth.clone())
-                } else {
-                    None
-                },
+                truth: (self.config.mode == "stream").then(|| self.engine.truth().clone()),
             }),
             fleet: None,
         }
     }
 
-    /// Absorbs one stream tick: records frame `frame`'s trace data and
-    /// steps that frame.
+    /// Absorbs one stream tick: writes frame `frame`'s trace data into
+    /// the engine and steps that frame, answering `Ticked`.
     ///
     /// # Errors
     ///
     /// `protocol` faults for non-stream sessions and malformed data;
-    /// `order` faults for out-of-order frames.
-    pub fn tick(&mut self, frame: usize, data: &TickData) -> Result<FrameStep, Fault> {
+    /// `order` faults for out-of-order frames; `state` faults when the
+    /// frame step fails.
+    pub fn tick(&mut self, frame: usize, data: &FrameTraces) -> Result<Response, Fault> {
         if self.config.mode != "stream" {
             return Err(Fault::new(
                 "protocol",
@@ -635,106 +601,101 @@ impl SingleSession {
                 ),
             ));
         }
-        if frame >= self.clock.frames() {
+        if frame >= self.config.days {
             return Err(Fault::new(
                 "order",
-                format!("tick past the horizon ({} frames)", self.clock.frames()),
+                format!("tick past the horizon ({} frames)", self.config.days),
             ));
         }
-        let t = self.clock.slots_per_frame();
-        let start = frame * t;
-        let set = |dst: &mut Vec<Energy>, src: &[f64]| {
-            for (slot, v) in dst.iter_mut().skip(start).take(t).zip(src) {
-                *slot = Energy::from_mwh(*v);
-            }
-        };
-        set(&mut self.truth.demand_ds, &data.demand_ds);
-        set(&mut self.truth.demand_dt, &data.demand_dt);
-        set(&mut self.truth.renewable, &data.renewable);
-        for (slot, v) in self
-            .truth
-            .price_rt
-            .iter_mut()
-            .skip(start)
-            .take(t)
-            .zip(&data.price_rt)
-        {
-            *slot = Price::from_dollars_per_mwh(*v);
-        }
-        if let Some(slot) = self.truth.price_lt.get_mut(frame) {
-            *slot = Price::from_dollars_per_mwh(data.price_lt);
-        }
-        self.engine = Engine::new(self.config.params(), self.truth.clone())
+        self.engine
+            .write_frame(frame, data)
             .map_err(|e| Fault::new("protocol", format!("tick data rejected: {e}")))?;
         self.filled += 1;
-        self.step()
+        self.advance(true)
     }
 
-    /// Advances one coarse frame.
+    /// Advances one coarse frame of a scenario or pack session, answering
+    /// `Stepped`.
     ///
     /// # Errors
     ///
-    /// `order` faults when the horizon is complete or (stream mode) the
-    /// frame's data has not been supplied; `state` faults when the
-    /// engine rejects the stored state.
-    pub fn step(&mut self) -> Result<FrameStep, Fault> {
-        if self.run_state.next_frame >= self.clock.frames() {
+    /// `protocol` faults for stream sessions (they advance by tick);
+    /// `order` faults when the horizon is complete; `state` faults when
+    /// the frame step fails.
+    pub fn step(&mut self) -> Result<Response, Fault> {
+        if self.config.mode == "stream" {
+            return Err(Fault::new(
+                "protocol",
+                "stream sessions advance via tick, not step",
+            ));
+        }
+        self.advance(false)
+    }
+
+    /// Steps the live run one frame. Every frame up to `filled` has its
+    /// data, so only the horizon can stop it.
+    fn advance(&mut self, ticked: bool) -> Result<Response, Fault> {
+        if self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 "all frames already stepped; send finish",
             ));
         }
-        if self.config.mode == "stream" && self.filled <= self.run_state.next_frame {
-            return Err(Fault::new(
-                "order",
-                format!(
-                    "frame {} has no data yet; send its tick first",
-                    self.run_state.next_frame
-                ),
-            ));
-        }
-        let before_lt = self.run_state.report.energy_lt;
-        let before_rt = self.run_state.report.energy_rt;
-        let mut run = self
-            .engine
-            .resume(self.run_state.clone())
-            .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?;
-        let frame = run.frames_completed();
-        run.step_frame(self.controller.as_mut())
+        let frame = self.run.frames_completed();
+        let before = (self.run.report().energy_lt, self.run.report().energy_rt);
+        self.run
+            .step_frame(&self.engine, self.controller.as_mut())
             .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
-        self.run_state = run.state();
-        Ok(FrameStep {
-            frame,
-            purchased_lt_mwh: (self.run_state.report.energy_lt - before_lt).mwh(),
-            purchased_rt_mwh: (self.run_state.report.energy_rt - before_rt).mwh(),
-            cost_dollars: self.run_state.report.total_cost().dollars(),
-            battery_mwh: self.run_state.battery.level.mwh(),
-            backlog_mwh: self.run_state.queue.backlog.mwh(),
-            done: self.run_state.next_frame >= self.clock.frames(),
+        let report = self.run.report();
+        let purchased_lt_mwh = (report.energy_lt - before.0).mwh();
+        let purchased_rt_mwh = (report.energy_rt - before.1).mwh();
+        let cost_dollars = report.total_cost().dollars();
+        let battery_mwh = self.run.battery_level().mwh();
+        let backlog_mwh = self.run.queue_backlog().mwh();
+        let done = self.run.is_done();
+        Ok(if ticked {
+            Response::Ticked {
+                frame,
+                purchased_lt_mwh,
+                purchased_rt_mwh,
+                cost_dollars,
+                battery_mwh,
+                backlog_mwh,
+                done,
+            }
+        } else {
+            Response::Stepped {
+                frame,
+                purchased_lt_mwh,
+                purchased_rt_mwh,
+                cost_dollars,
+                battery_mwh,
+                backlog_mwh,
+                done,
+            }
         })
     }
 
-    /// Closes the month and produces the final report.
+    /// Closes the month and produces the final report. The session stays
+    /// as it is, so `finish` may be repeated.
     ///
     /// # Errors
     ///
-    /// `order` faults when frames remain; `state` faults when the
-    /// engine rejects the stored state.
+    /// `order` faults when frames remain.
     pub fn finish(&self) -> Result<RunReport, Fault> {
-        if self.run_state.next_frame < self.clock.frames() {
+        if !self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 format!(
                     "cannot finish: {} of {} frames stepped",
-                    self.run_state.next_frame,
-                    self.clock.frames()
+                    self.run.frames_completed(),
+                    self.config.days
                 ),
             ));
         }
-        self.engine
-            .resume(self.run_state.clone())
-            .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?
-            .finish()
+        self.run
+            .clone()
+            .finish(&self.engine)
             .map_err(|e| Fault::new("state", format!("finish failed: {e}")))
     }
 }
@@ -749,43 +710,31 @@ enum FleetDispatch {
 }
 
 impl FleetDispatch {
-    fn direct(&mut self, outlook: &dpss_sim::FrameOutlook) -> Vec<FrameDirective> {
+    fn as_dispatcher(&mut self) -> &mut dyn FleetDispatcher {
         match self {
-            FleetDispatch::Greedy(ic) => FleetDispatcher::direct(ic, outlook),
-            FleetDispatch::Planner(p) => FleetDispatcher::direct(p.as_mut(), outlook),
-        }
-    }
-
-    fn settle(&mut self, exchange: &dpss_sim::FrameExchange) -> FrameSettlement {
-        match self {
-            FleetDispatch::Greedy(ic) => FleetDispatcher::settle(ic, exchange),
-            FleetDispatch::Planner(p) => FleetDispatcher::settle(p.as_mut(), exchange),
+            FleetDispatch::Greedy(ic) => ic,
+            FleetDispatch::Planner(p) => p.as_mut(),
         }
     }
 }
 
-/// A multi-site session stepping every site in lockstep, with the
-/// dispatcher in the loop exactly as [`MultiSiteEngine::run_with`]
-/// places it.
-///
-/// [`MultiSiteEngine::run_with`]: dpss_sim::MultiSiteEngine::run_with
+/// A multi-site session stepping every site in lockstep through
+/// [`FleetRun::step_frame`], with the dispatcher in the loop exactly as
+/// [`MultiSiteEngine::run_with`] places it.
 pub struct FleetSession {
     /// The rebuild recipe.
     pub config: SessionConfig,
-    clock: SlotClock,
-    fleet: dpss_sim::MultiSiteEngine,
+    fleet: MultiSiteEngine,
     controllers: Vec<Box<dyn Controller>>,
     dispatcher: FleetDispatch,
-    run_states: Vec<EngineRunState>,
-    totals: FrameSettlement,
-    next_frame: usize,
+    run: FleetRun,
 }
 
 impl fmt::Debug for FleetSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FleetSession")
             .field("config", &self.config)
-            .field("next_frame", &self.next_frame)
+            .field("next_frame", &self.run.frames_completed())
             .finish_non_exhaustive()
     }
 }
@@ -814,7 +763,7 @@ impl FleetSession {
         }
         let ic = Interconnect::pooled(config.sites, Energy::from_mwh(DEFAULT_LINK_CAP_MWH))
             .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
-        let fleet = dpss_sim::MultiSiteEngine::new(engines)
+        let fleet = MultiSiteEngine::new(engines)
             .map_err(|e| Fault::new("protocol", format!("fleet rejected sites: {e}")))?
             .with_interconnect(ic)
             .map_err(|e| Fault::new("protocol", format!("interconnect rejected: {e}")))?;
@@ -829,47 +778,42 @@ impl FleetSession {
         for _ in 0..config.sites {
             controllers.push(build_controller(&config.controller, params, clock)?);
         }
-        let mut run_states = Vec::with_capacity(config.sites);
-        for engine in fleet.sites() {
-            let state = engine
-                .begin()
-                .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?
-                .state();
-            run_states.push(state);
-        }
+        let run = fleet
+            .begin()
+            .map_err(|e| Fault::new("protocol", format!("engine could not start: {e}")))?;
         Ok(FleetSession {
             config,
-            clock,
             fleet,
             controllers,
             dispatcher,
-            run_states,
-            totals: FrameSettlement::default(),
-            next_frame: 0,
+            run,
         })
     }
 
     /// Reconstructs a fleet session from its snapshot image.
     fn restore(config: SessionConfig, image: FleetSnapshot) -> Result<Self, Fault> {
         let mut session = FleetSession::new(config)?;
-        if image.run_states.len() != session.config.sites
-            || image.controllers.len() != session.config.sites
-        {
+        if image.controllers.len() != session.config.sites {
             return Err(Fault::new(
                 "snapshot",
                 "snapshot site roster differs from the session config",
             ));
         }
-        for (engine, state) in session.fleet.sites().iter().zip(&image.run_states) {
-            engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
-            if state.next_frame != image.next_frame {
-                return Err(Fault::new(
-                    "snapshot",
-                    "snapshot sites disagree on the next frame",
-                ));
-            }
+        let settled = FrameSettlement {
+            sent: Energy::from_mwh(image.sent_mwh),
+            delivered: Energy::from_mwh(image.delivered_mwh),
+            savings: Money::from_dollars(image.savings_dollars),
+            wheeling: Money::from_dollars(image.wheeling_dollars),
+        };
+        session.run = session
+            .fleet
+            .resume(image.run_states, settled)
+            .map_err(|e| Fault::new("snapshot", format!("run state rejected: {e}")))?;
+        if session.run.frames_completed() != image.next_frame {
+            return Err(Fault::new(
+                "snapshot",
+                "snapshot sites disagree on the next frame",
+            ));
         }
         for (ctl, state) in session.controllers.iter_mut().zip(&image.controllers) {
             ctl.load_state(state)
@@ -894,158 +838,92 @@ impl FleetSession {
             }
             (FleetDispatch::Greedy(_), None) => {}
         }
-        for v in [
-            image.sent_mwh,
-            image.delivered_mwh,
-            image.savings_dollars,
-            image.wheeling_dollars,
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(Fault::new(
-                    "snapshot",
-                    "snapshot settlement totals are not finite non-negative numbers",
-                ));
-            }
-        }
-        session.run_states = image.run_states;
-        session.totals = FrameSettlement {
-            sent: Energy::from_mwh(image.sent_mwh),
-            delivered: Energy::from_mwh(image.delivered_mwh),
-            savings: Money::from_dollars(image.savings_dollars),
-            wheeling: Money::from_dollars(image.wheeling_dollars),
-        };
-        session.next_frame = image.next_frame;
         Ok(session)
     }
 
     /// Captures the session as a snapshot image.
     #[must_use]
     pub fn snapshot(&self) -> SessionSnapshot {
+        let settled = self.run.settled();
         SessionSnapshot {
             config: self.config.clone(),
             single: None,
             fleet: Some(FleetSnapshot {
-                run_states: self.run_states.clone(),
+                run_states: self.run.runs().iter().map(EngineRun::state).collect(),
                 controllers: self.controllers.iter().map(|c| c.save_state()).collect(),
                 planner: match &self.dispatcher {
                     FleetDispatch::Planner(p) => Some(p.export_state()),
                     FleetDispatch::Greedy(_) => None,
                 },
-                next_frame: self.next_frame,
-                sent_mwh: self.totals.sent.mwh(),
-                delivered_mwh: self.totals.delivered.mwh(),
-                savings_dollars: self.totals.savings.dollars(),
-                wheeling_dollars: self.totals.wheeling.dollars(),
+                next_frame: self.run.frames_completed(),
+                sent_mwh: settled.sent.mwh(),
+                delivered_mwh: settled.delivered.mwh(),
+                savings_dollars: settled.savings.dollars(),
+                wheeling_dollars: settled.wheeling.dollars(),
             }),
         }
     }
 
-    /// Advances every site one coarse frame in lockstep, with the
-    /// dispatcher directing before and settling after, exactly as the
-    /// batch fleet loop does.
+    /// Advances every site one coarse frame in lockstep through
+    /// [`FleetRun::step_frame`], with the dispatcher directing before
+    /// and settling after, exactly as the batch fleet loop does;
+    /// answers `FleetStepped`.
     ///
     /// # Errors
     ///
     /// `order` faults when the horizon is complete; `state` faults when
-    /// an engine rejects its stored state or a step fails.
-    pub fn step(&mut self) -> Result<FleetStep, Fault> {
-        if self.next_frame >= self.clock.frames() {
+    /// a step fails.
+    pub fn step(&mut self) -> Result<Response, Fault> {
+        if self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 "all frames already stepped; send finish",
             ));
         }
-        let mut runs: Vec<EngineRun<'_>> = Vec::with_capacity(self.run_states.len());
-        for (engine, state) in self.fleet.sites().iter().zip(&self.run_states) {
-            let run = engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?;
-            runs.push(run);
-        }
-        let silent = self.fleet.interconnect().is_silent();
-        let mut applied = Vec::new();
-        if !silent {
-            let outlook = self.fleet.outlook_at(self.next_frame, &runs);
-            let directives = self.dispatcher.direct(&outlook);
-            if !directives.is_empty() {
-                if directives.len() != self.run_states.len() {
-                    return Err(Fault::new(
-                        "state",
-                        "directive roster length differs from site roster",
-                    ));
-                }
-                for (ctl, directive) in self.controllers.iter_mut().zip(&directives) {
-                    ctl.receive_directive(directive);
-                }
-                applied = directives;
-            }
-        }
-        for (run, ctl) in runs.iter_mut().zip(self.controllers.iter_mut()) {
-            run.step_frame(ctl.as_mut())
-                .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
-        }
-        if !silent {
-            let ex = self
-                .fleet
-                .exchange_at(self.next_frame, &runs)
-                .map_err(|e| Fault::new("state", format!("exchange failed: {e}")))?;
-            let s = self.dispatcher.settle(&ex);
-            self.totals.sent += s.sent;
-            self.totals.delivered += s.delivered;
-            self.totals.savings += s.savings;
-            self.totals.wheeling += s.wheeling;
-        }
-        self.run_states = runs.iter().map(EngineRun::state).collect();
-        let frame = self.next_frame;
-        self.next_frame += 1;
-        let cost: Money = self.run_states.iter().map(|s| s.report.total_cost()).sum();
-        Ok(FleetStep {
+        let frame = self.run.frames_completed();
+        let mut dispatcher = UnroutedDispatcher(self.dispatcher.as_dispatcher());
+        let directives = self
+            .run
+            .step_frame(&self.fleet, &mut self.controllers, &mut dispatcher, None)
+            .map_err(|e| Fault::new("state", format!("frame step failed: {e}")))?;
+        let cost: Money = self
+            .run
+            .runs()
+            .iter()
+            .map(|r| r.report().total_cost())
+            .sum();
+        let settled = self.run.settled();
+        Ok(Response::FleetStepped {
             frame,
             cost_dollars: cost.dollars(),
-            transferred_mwh: self.totals.sent.mwh(),
-            savings_dollars: self.totals.savings.dollars(),
-            directives: applied,
-            done: self.next_frame >= self.clock.frames(),
+            transferred_mwh: settled.sent.mwh(),
+            savings_dollars: settled.savings.dollars(),
+            directives,
+            done: self.run.is_done(),
         })
     }
 
     /// Closes the month and assembles the fleet report — identical to
-    /// what the batch loop would have produced over the same frames.
+    /// what the batch loop would have produced over the same frames. The
+    /// session stays as it is, so `finish` may be repeated.
     ///
     /// # Errors
     ///
-    /// `order` faults when frames remain; `state` faults when an engine
-    /// rejects its stored state.
+    /// `order` faults when frames remain.
     pub fn finish(&self) -> Result<MultiSiteReport, Fault> {
-        if self.next_frame < self.clock.frames() {
+        if !self.run.is_done() {
             return Err(Fault::new(
                 "order",
                 format!(
                     "cannot finish: {} of {} frames stepped",
-                    self.next_frame,
-                    self.clock.frames()
+                    self.run.frames_completed(),
+                    self.config.days
                 ),
             ));
         }
-        let mut reports = Vec::with_capacity(self.run_states.len());
-        for (engine, state) in self.fleet.sites().iter().zip(&self.run_states) {
-            let report = engine
-                .resume(state.clone())
-                .map_err(|e| Fault::new("state", format!("run state rejected: {e}")))?
-                .finish()
-                .map_err(|e| Fault::new("state", format!("finish failed: {e}")))?;
-            reports.push(report);
-        }
-        Ok(MultiSiteReport {
-            sites: reports,
-            frames: self.clock.frames(),
-            slots: self.clock.total_slots(),
-            interconnect: self.fleet.interconnect().clone(),
-            energy_transferred: self.totals.sent,
-            energy_delivered: self.totals.delivered,
-            transfer_savings: self.totals.savings,
-            wheeling_cost: self.totals.wheeling,
-            load: dpss_sim::LoadTotals::default(),
-        })
+        self.run
+            .clone()
+            .finish(&self.fleet)
+            .map_err(|e| Fault::new("state", format!("finish failed: {e}")))
     }
 }

@@ -9,7 +9,9 @@
 use std::io::{BufReader, Write};
 use std::process::{Command, Stdio};
 
-use dpss_serve::{serve, Response, ServeOptions, SessionServer};
+use dpss_serve::{
+    serve, RawRequest, Response, ServeOptions, SessionConfig, SessionServer, MAX_SLOT_RECORDS,
+};
 
 /// Runs a request log through an in-memory serve loop and returns the
 /// transcript lines plus the outcome.
@@ -224,6 +226,33 @@ fn malformed_lines_earn_typed_errors_and_the_session_survives() {
 }
 
 #[test]
+fn session_size_cap_admits_the_documented_sessions() {
+    // The slot-record cap must not bite real sessions: a 1,000-frame
+    // stream, a 4-site × 240-frame pack session and a 512-site month.
+    for init in [
+        "{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":1000}",
+        "{\"cmd\":\"init\",\"mode\":\"pack\",\"pack\":\"price-spike\",\"sites\":4,\"days\":240}",
+        "{\"cmd\":\"init\",\"mode\":\"pack\",\"pack\":\"price-spike\",\"sites\":512,\"days\":31}",
+    ] {
+        let raw: RawRequest = serde_json::from_str(init).expect("request parses");
+        if let Err(fault) = SessionConfig::from_request(&raw) {
+            panic!("{init} was refused: {}", fault.message);
+        }
+    }
+    let raw: RawRequest = serde_json::from_str(
+        "{\"cmd\":\"init\",\"mode\":\"pack\",\"pack\":\"price-spike\",\"sites\":512,\"days\":200}",
+    )
+    .expect("request parses");
+    let fault = SessionConfig::from_request(&raw).expect_err("2.4M slot records exceed the cap");
+    assert_eq!(fault.kind, "protocol");
+    assert!(
+        fault.message.contains(&MAX_SLOT_RECORDS.to_string()),
+        "message names the cap: {}",
+        fault.message
+    );
+}
+
+#[test]
 fn error_count_is_reported_in_the_outcome() {
     let (lines, outcome) = run_log(
         "not json at all\n\
@@ -338,4 +367,39 @@ fn execution_errors_exit_one() {
         stderr.contains("dpss-serve: error:"),
         "typed prefix: {stderr}"
     );
+}
+
+#[test]
+fn oversized_and_degenerate_inits_are_typed_errors_and_the_daemon_lives_on() {
+    // Each of these once aborted the daemon on allocation failure or
+    // started a zero-length-slot (zero-cost) month.
+    for init in [
+        "{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":50000000}",
+        "{\"cmd\":\"init\",\"mode\":\"stream\",\"slots_per_frame\":100000000}",
+        "{\"cmd\":\"init\",\"mode\":\"scenario\",\"days\":2,\"slot_hours\":1e-300}",
+    ] {
+        let (code, stdout, stderr) = run_binary(
+            &[],
+            &format!(
+                "{init}\n{{\"cmd\":\"status\"}}\n\
+                 {{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":2,\"slots_per_frame\":2}}\n"
+            ),
+        );
+        assert_eq!(code, 0, "{init}: stderr: {stderr}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 4, "{init}: one reply per request: {stdout}");
+        match parse(lines[1]) {
+            Response::Error { kind, .. } => assert_eq!(kind, "protocol", "{init}"),
+            other => panic!("{init}: expected a protocol error, got {other:?}"),
+        }
+        match parse(lines[2]) {
+            Response::Error { kind, .. } => assert_eq!(kind, "session", "{init}: no session"),
+            other => panic!("{init}: expected a session error, got {other:?}"),
+        }
+        assert!(
+            matches!(parse(lines[3]), Response::Started { frames: 2, .. }),
+            "{init}: the next init still starts a session: {}",
+            lines[3]
+        );
+    }
 }

@@ -192,6 +192,23 @@ impl FleetDispatcher for Interconnect {
     }
 }
 
+/// A borrowed dispatcher dispatches as itself, so drivers can wrap a
+/// `&mut dyn FleetDispatcher` (e.g. in
+/// [`UnroutedDispatcher`](crate::UnroutedDispatcher)) without owning it.
+impl<D: FleetDispatcher + ?Sized> FleetDispatcher for &mut D {
+    fn topology(&self) -> Option<&Interconnect> {
+        (**self).topology()
+    }
+
+    fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
+        (**self).direct(outlook)
+    }
+
+    fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
+        (**self).settle(ex)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

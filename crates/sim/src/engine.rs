@@ -3,8 +3,8 @@
 // for the outcome vectors sized from the same clock.
 // audit:allow-file(slice-index): slot/frame indices come from the validated clock that sized every buffer in the run
 
-use dpss_traces::TraceSet;
-use dpss_units::Energy;
+use dpss_traces::{FrameTraces, TraceSet};
+use dpss_units::{Energy, SlotClock};
 
 use crate::plant::{self, SlotInputs};
 use crate::{
@@ -135,27 +135,26 @@ impl Engine {
     pub fn run(&self, controller: &mut dyn Controller) -> Result<RunReport, SimError> {
         let mut run = self.begin()?;
         while !run.is_done() {
-            run.step_frame(controller)?;
+            run.step_frame(self, controller)?;
         }
-        run.finish()
+        run.finish(self)
     }
 
     /// Starts a resumable run: the returned [`EngineRun`] owns the plant
     /// state (battery, queue, partial report) and advances one coarse
-    /// frame at a time through [`EngineRun::step_frame`]. This is the
-    /// frame-synchronous entry point
-    /// [`MultiSiteEngine`](crate::MultiSiteEngine) uses to run a fleet in
-    /// lockstep, delivering a `FrameDirective` to each site's controller
-    /// between frames.
+    /// frame at a time through [`EngineRun::step_frame`], which takes this
+    /// engine by reference. The run borrows nothing, so a long-lived
+    /// caller (a fleet in lockstep, a streaming session) keeps it next to
+    /// the engine and steps it in place.
     ///
     /// # Errors
     ///
     /// Propagates battery-construction failures (invalid parameters are
     /// normally caught at [`Engine::new`]).
-    pub fn begin(&self) -> Result<EngineRun<'_>, SimError> {
+    pub fn begin(&self) -> Result<EngineRun, SimError> {
         let clock = self.truth.clock;
         Ok(EngineRun {
-            engine: self,
+            clock,
             battery: Battery::new(self.params.battery)?,
             queue: DemandQueue::new(),
             lt_alloc: Energy::ZERO,
@@ -167,6 +166,21 @@ impl Engine {
             },
             next_frame: 0,
         })
+    }
+
+    /// Overwrites coarse frame `frame` of the true traces in place — the
+    /// streaming path, where the traces arrive one frame at a time. Only
+    /// that frame is checked; an observed trace set, if any, is left as
+    /// it is.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Trace`] if the frame is outside the calendar or its
+    /// data has the wrong length or a non-finite or negative value; the
+    /// traces are unchanged then.
+    pub fn write_frame(&mut self, frame: usize, data: &FrameTraces) -> Result<(), SimError> {
+        self.truth.write_frame(frame, data)?;
+        Ok(())
     }
 
     /// The observed trace set (what controllers see): the injected
@@ -187,7 +201,7 @@ impl Engine {
     /// outcomes disagree with this engine's calendar and recording
     /// configuration; plus the per-component validation of
     /// [`Battery::from_state`] and [`DemandQueue::from_state`].
-    pub fn resume(&self, state: crate::EngineRunState) -> Result<EngineRun<'_>, SimError> {
+    pub fn resume(&self, state: crate::EngineRunState) -> Result<EngineRun, SimError> {
         let clock = self.truth.clock;
         if state.next_frame > clock.frames() {
             return Err(SimError::InvalidState {
@@ -217,7 +231,7 @@ impl Engine {
             });
         }
         Ok(EngineRun {
-            engine: self,
+            clock,
             battery: Battery::from_state(self.params.battery, &state.battery)?,
             queue: DemandQueue::from_state(&state.queue)?,
             lt_alloc: state.lt_alloc,
@@ -233,12 +247,14 @@ impl Engine {
 ///
 /// Produced by [`Engine::begin`]; [`Engine::run`] is exactly
 /// `begin` + [`step_frame`](EngineRun::step_frame) × `frames` +
-/// [`finish`](EngineRun::finish). Within a frame nothing is externally
-/// observable; between frames the accessors expose what a fleet
-/// dispatcher needs (recorded outcomes so far, battery headroom).
+/// [`finish`](EngineRun::finish). The run is plain owned data: it does
+/// not borrow its engine, which stepping and finishing take by
+/// reference. Within a frame nothing is externally observable; between
+/// frames the accessors expose what a fleet dispatcher needs (recorded
+/// outcomes so far, battery headroom) and what a live session reports.
 #[derive(Debug, Clone)]
-pub struct EngineRun<'a> {
-    engine: &'a Engine,
+pub struct EngineRun {
+    clock: SlotClock,
     battery: Battery,
     queue: DemandQueue,
     lt_alloc: Energy,
@@ -247,13 +263,7 @@ pub struct EngineRun<'a> {
     next_frame: usize,
 }
 
-impl EngineRun<'_> {
-    /// The engine this run steps.
-    #[must_use]
-    pub fn engine(&self) -> &Engine {
-        self.engine
-    }
-
+impl EngineRun {
     /// Coarse frames completed so far (also the index of the next frame
     /// to step).
     #[must_use]
@@ -264,7 +274,7 @@ impl EngineRun<'_> {
     /// Whether every coarse frame of the calendar has been stepped.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.next_frame >= self.engine.truth.clock.frames()
+        self.next_frame >= self.clock.frames()
     }
 
     /// Per-slot outcomes recorded so far (empty unless the engine has
@@ -279,6 +289,26 @@ impl EngineRun<'_> {
     #[must_use]
     pub fn battery_headroom(&self) -> Energy {
         self.battery.headroom()
+    }
+
+    /// Current battery level.
+    #[must_use]
+    pub fn battery_level(&self) -> Energy {
+        self.battery.level()
+    }
+
+    /// Current delay-tolerant backlog.
+    #[must_use]
+    pub fn queue_backlog(&self) -> Energy {
+        self.queue.backlog()
+    }
+
+    /// The report aggregated over the frames stepped so far (costs and
+    /// energies; the horizon statistics are filled in by
+    /// [`finish`](Self::finish)).
+    #[must_use]
+    pub fn report(&self) -> &RunReport {
+        &self.report
     }
 
     /// Captures the run's full mutable state (plant + partial report) for
@@ -297,24 +327,29 @@ impl EngineRun<'_> {
         }
     }
 
-    /// Advances the run by one coarse frame: one `plan_frame` decision,
-    /// then `plan_slot` / plant step / `end_slot` for each of the frame's
-    /// fine slots. No-op when the run [`is_done`](Self::is_done).
+    /// Advances the run by one coarse frame of `engine`: one `plan_frame`
+    /// decision, then `plan_slot` / plant step / `end_slot` for each of
+    /// the frame's fine slots. No-op when the run
+    /// [`is_done`](Self::is_done).
     ///
     /// The first call stamps the controller's name into the report; a
-    /// fleet harness must keep handing the same controller to the same
-    /// run.
+    /// fleet harness must keep handing the same engine and controller to
+    /// the same run.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidDecision`] if the controller emits NaN/negative
-    /// decisions.
-    pub fn step_frame(&mut self, controller: &mut dyn Controller) -> Result<(), SimError> {
+    /// decisions; [`SimError::InvalidState`] if `engine` runs a different
+    /// calendar than the one the run was started on.
+    pub fn step_frame(
+        &mut self,
+        engine: &Engine,
+        controller: &mut dyn Controller,
+    ) -> Result<(), SimError> {
         if self.is_done() {
             return Ok(());
         }
-        let engine = self.engine;
-        let clock = engine.truth.clock;
+        let clock = self.same_calendar(engine)?;
         let obs_traces = engine.observed_traces();
         let slot_hours = clock.slot_hours();
         let t = clock.slots_per_frame();
@@ -451,8 +486,8 @@ impl EngineRun<'_> {
     ///
     /// [`SimError::RunIncomplete`] unless every coarse frame has been
     /// stepped — a partial run has no meaningful horizon statistics.
-    pub fn finish(mut self) -> Result<RunReport, SimError> {
-        let clock = self.engine.truth.clock;
+    pub fn finish(mut self, engine: &Engine) -> Result<RunReport, SimError> {
+        let clock = self.same_calendar(engine)?;
         if !self.is_done() {
             return Err(SimError::RunIncomplete {
                 frames_done: self.next_frame,
@@ -462,10 +497,10 @@ impl EngineRun<'_> {
         let slot_hours = clock.slot_hours();
 
         // ---- Peak demand charge (extension; off by default). -----------------
-        if self.engine.params.peak_charge_per_mw > 0.0 {
+        if engine.params.peak_charge_per_mw > 0.0 {
             let peak_mw = self.report.peak_grid_draw.mwh() / slot_hours;
             self.report.cost_peak =
-                dpss_units::Money::from_dollars(peak_mw * self.engine.params.peak_charge_per_mw);
+                dpss_units::Money::from_dollars(peak_mw * engine.params.peak_charge_per_mw);
         }
 
         // ---- Final queue/battery statistics. --------------------------------
@@ -480,6 +515,19 @@ impl EngineRun<'_> {
         self.report.battery_max = self.battery.max_level_seen();
         self.report.slot_outcomes = self.recorded;
         Ok(self.report)
+    }
+
+    /// The run's calendar, once `engine` is confirmed to share it: every
+    /// slot index a step hands out must be in bounds for the engine's
+    /// traces.
+    fn same_calendar(&self, engine: &Engine) -> Result<SlotClock, SimError> {
+        if engine.truth.clock == self.clock {
+            Ok(self.clock)
+        } else {
+            Err(SimError::InvalidState {
+                what: "run stepped on an engine with a different calendar",
+            })
+        }
     }
 }
 
@@ -807,7 +855,7 @@ mod tests {
         for cut in [1usize, frames / 2, frames - 1] {
             let mut run = engine.begin().unwrap();
             for _ in 0..cut {
-                run.step_frame(&mut Eager).unwrap();
+                run.step_frame(&engine, &mut Eager).unwrap();
             }
             // Serialize the state across a simulated process boundary.
             let json = serde_json::to_string(&run.state()).unwrap();
@@ -816,9 +864,9 @@ mod tests {
             let mut resumed = engine.resume(state).unwrap();
             assert_eq!(resumed.frames_completed(), cut);
             while !resumed.is_done() {
-                resumed.step_frame(&mut Eager).unwrap();
+                resumed.step_frame(&engine, &mut Eager).unwrap();
             }
-            let report = resumed.finish().unwrap();
+            let report = resumed.finish(&engine).unwrap();
             assert_eq!(
                 serde_json::to_string(&report).unwrap(),
                 serde_json::to_string(&full).unwrap(),
@@ -832,7 +880,7 @@ mod tests {
         let traces = paper_month_traces(42).unwrap();
         let engine = Engine::new(SimParams::icdcs13(), traces).unwrap();
         let mut run = engine.begin().unwrap();
-        run.step_frame(&mut Eager).unwrap();
+        run.step_frame(&engine, &mut Eager).unwrap();
         let good = run.state();
 
         let mut bad = good.clone();
@@ -864,6 +912,80 @@ mod tests {
         let mut bad = good;
         bad.report.slots = 3;
         assert!(engine.resume(bad).is_err());
+    }
+
+    #[test]
+    fn runs_step_only_on_an_engine_with_their_calendar() {
+        let month = Engine::new(SimParams::icdcs13(), paper_month_traces(42).unwrap()).unwrap();
+        let short = Engine::new(
+            SimParams::icdcs13(),
+            Scenario::icdcs13()
+                .generate(&SlotClock::new(2, 24, 1.0).unwrap(), 42)
+                .unwrap(),
+        )
+        .unwrap();
+        let mut run = short.begin().unwrap();
+        assert!(matches!(
+            run.step_frame(&month, &mut Eager),
+            Err(SimError::InvalidState { .. })
+        ));
+        run.step_frame(&short, &mut Eager).unwrap();
+        run.step_frame(&short, &mut Eager).unwrap();
+        assert!(matches!(
+            run.clone().finish(&month),
+            Err(SimError::InvalidState { .. })
+        ));
+        assert_eq!(run.finish(&short).unwrap(), short.run(&mut Eager).unwrap());
+    }
+
+    #[test]
+    fn written_frames_step_like_traces_known_up_front() {
+        // A stream engine that learns each frame just before stepping it
+        // reproduces the run over the full traces.
+        let truth = paper_month_traces(42).unwrap();
+        let full = Engine::new(SimParams::icdcs13(), truth.clone())
+            .unwrap()
+            .run(&mut Eager)
+            .unwrap();
+        let clock = truth.clock;
+        let zeros = dpss_traces::TraceSet::new(
+            clock,
+            vec![Energy::ZERO; clock.total_slots()],
+            vec![Energy::ZERO; clock.total_slots()],
+            vec![Energy::ZERO; clock.total_slots()],
+            vec![dpss_units::Price::ZERO; clock.frames()],
+            vec![dpss_units::Price::ZERO; clock.total_slots()],
+        )
+        .unwrap();
+        let mut engine = Engine::new(SimParams::icdcs13(), zeros).unwrap();
+        let mut run = engine.begin().unwrap();
+        let t = clock.slots_per_frame();
+        for k in 0..clock.frames() {
+            let slots = k * t..(k + 1) * t;
+            let frame = FrameTraces {
+                price_lt: truth.price_lt[k],
+                price_rt: truth.price_rt[slots.clone()].to_vec(),
+                demand_ds: truth.demand_ds[slots.clone()].to_vec(),
+                demand_dt: truth.demand_dt[slots.clone()].to_vec(),
+                renewable: truth.renewable[slots].to_vec(),
+            };
+            engine.write_frame(k, &frame).unwrap();
+            run.step_frame(&engine, &mut Eager).unwrap();
+        }
+        assert_eq!(run.finish(&engine).unwrap(), full);
+        assert!(matches!(
+            engine.write_frame(
+                clock.frames(),
+                &FrameTraces {
+                    price_lt: dpss_units::Price::ZERO,
+                    price_rt: Vec::new(),
+                    demand_ds: Vec::new(),
+                    demand_dt: Vec::new(),
+                    renewable: Vec::new(),
+                }
+            ),
+            Err(SimError::Trace(_))
+        ));
     }
 
     #[test]

@@ -31,9 +31,9 @@ use std::sync::Mutex;
 use dpss_units::{Energy, Money};
 
 use crate::{
-    Controller, Engine, EngineRun, FleetDispatcher, FleetWorkload, FrameExchange, FrameOutlook,
-    FrameSettlement, Interconnect, LoadTotals, RoutedDispatcher, RoutingConfig, RunReport,
-    SimError, SiteOutlook, SlotOutcome,
+    Controller, Engine, EngineRun, FleetDispatcher, FleetWorkload, FrameDirective, FrameExchange,
+    FrameOutlook, FrameSettlement, Interconnect, LoadFrame, LoadTotals, RoutedDispatcher,
+    RoutingConfig, RunReport, SimError, SiteOutlook, SlotOutcome, UnroutedDispatcher,
 };
 
 /// N per-site [`Engine`]s plus the interconnect topology they settle over.
@@ -161,18 +161,6 @@ impl MultiSiteEngine {
         Ok(self)
     }
 
-    /// The legacy coupling knob: the total inter-site energy transfer
-    /// allowed per coarse frame, as a lossless, free, fleet-pooled
-    /// topology ([`Interconnect::pooled`]). `0` decouples the sites.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidParameter`] for non-finite or negative caps.
-    pub fn with_transfer_cap(self, cap: Energy) -> Result<Self, SimError> {
-        let n = self.sites.len();
-        self.with_interconnect(Interconnect::pooled(n, cap)?)
-    }
-
     /// The per-site engines, in site-index order.
     #[must_use]
     pub fn sites(&self) -> &[Engine] {
@@ -213,31 +201,15 @@ impl MultiSiteEngine {
         self.run_with(controllers, &mut greedy)
     }
 
-    /// The frame-synchronous dispatch loop: steps every site through one
-    /// coarse frame at a time, letting `dispatcher` direct the sites
-    /// between frames and settle each frame's realized exchange.
-    ///
-    /// Per coarse frame `k`:
-    ///
-    /// 1. the dispatcher sees the fleet's [`FrameOutlook`] (causal:
-    ///    frame `k − 1`'s realization plus current battery state) and
-    ///    returns directives — one per site, or none at all;
-    /// 2. each site's controller receives its directive
-    ///    ([`Controller::receive_directive`]), then every site steps the
-    ///    frame ([`EngineRun::step_frame`]) — inline in site-index order
-    ///    by default, or fanned out over the
-    ///    [`with_threads`](Self::with_threads) worker budget (the order
-    ///    is immaterial: sites do not interact within a frame, so the
-    ///    aggregates are byte-identical at any thread count);
-    /// 3. the realized [`FrameExchange`] is extracted and settled
-    ///    ([`FleetDispatcher::settle`]).
+    /// The frame-synchronous dispatch loop: [`begin`](Self::begin), then
+    /// [`FleetRun::step_frame`] with `dispatcher` and no workload for
+    /// every coarse frame, then [`FleetRun::finish`].
     ///
     /// With a dispatcher that never directs (e.g. the topology itself,
     /// or a plain planner) this is exactly the post-hoc/planned
     /// settlement of a conventional run; with a coordinating dispatcher
     /// the directives feed the flow plan back into the sites' physical
-    /// dispatch. On a silent topology steps 1 and 3 are skipped
-    /// entirely.
+    /// dispatch. On a silent topology the dispatcher is never called.
     ///
     /// # Errors
     ///
@@ -251,88 +223,23 @@ impl MultiSiteEngine {
         controllers: &mut [Box<dyn Controller>],
         dispatcher: &mut dyn FleetDispatcher,
     ) -> Result<MultiSiteReport, SimError> {
-        if controllers.len() != self.sites.len() {
-            return Err(SimError::SiteMismatch {
-                site: controllers.len(),
-                what: "controller roster length differs from site roster",
-            });
+        self.check_topology(dispatcher.topology())?;
+        let mut dispatcher = UnroutedDispatcher(dispatcher);
+        let mut run = self.begin()?;
+        while !run.is_done() {
+            run.step_frame(self, controllers, &mut dispatcher, None)?;
         }
-        if let Some(topology) = dispatcher.topology() {
-            if topology != &self.interconnect {
-                return Err(SimError::SiteMismatch {
-                    site: topology.sites(),
-                    what: "dispatcher topology differs from the fleet's interconnect",
-                });
-            }
-        }
-        let clock = self.sites[0].truth().clock;
-        let silent = self.interconnect.is_silent();
-        let mut runs = self
-            .sites
-            .iter()
-            .map(Engine::begin)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut total = FrameSettlement::default();
-        for frame in 0..clock.frames() {
-            if !silent {
-                let outlook = self.outlook_at(frame, &runs);
-                let directives = dispatcher.direct(&outlook);
-                if !directives.is_empty() {
-                    if directives.len() != self.sites.len() {
-                        return Err(SimError::SiteMismatch {
-                            site: directives.len(),
-                            what: "directive roster length differs from site roster",
-                        });
-                    }
-                    for (ctl, directive) in controllers.iter_mut().zip(&directives) {
-                        ctl.receive_directive(directive);
-                    }
-                }
-            }
-            step_sites(&mut runs, controllers, self.threads)?;
-            if !silent {
-                let ex = self.exchange_at(frame, &runs)?;
-                let s = dispatcher.settle(&ex);
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
-            }
-        }
-        let reports = runs
-            .into_iter()
-            .map(EngineRun::finish)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.assemble(reports, total))
+        run.finish(self)
     }
 
     /// The co-optimized dispatch loop: [`run_with`](Self::run_with) plus
-    /// the request layer. A [`FleetWorkload`] ledger (built from each
-    /// site's truth arrival stream — zeros for sites without one — and
-    /// frame-mean real-time prices) steps in lockstep with the energy
-    /// loop; per coarse frame `k`:
-    ///
-    /// 1. the ledger admits frame `k`'s arrivals
-    ///    ([`FleetWorkload::frame_load`]) and its per-site availability
-    ///    and due totals are annotated onto the [`FrameOutlook`]
-    ///    ([`SiteOutlook::load_backlog`]/[`SiteOutlook::load_due`])
-    ///    before the dispatcher directs — energy-only dispatchers ignore
-    ///    the annotation, so the energy half of the run is byte-identical
-    ///    to [`run_with`](Self::run_with) with the same inner dispatcher;
-    /// 2. sites step the frame exactly as in `run_with`;
-    /// 3. the dispatcher settles the realized exchange *and* plans
-    ///    workload flows ([`RoutedDispatcher::settle_routed`]); the
-    ///    ledger applies the (clamped) plan, force-serves due work and
-    ///    runs the deferral rule ([`FleetWorkload::settle`]).
-    ///
-    /// On a silent topology the directive and energy-settlement steps
-    /// are skipped exactly as in `run_with` (no transfers exist), but
-    /// the workload ledger still steps every frame: local absorption of
-    /// a site's own curtailment needs no interconnect.
-    ///
-    /// The returned report carries the workload totals in
-    /// [`MultiSiteReport::load`]; every other field is produced by the
-    /// same code paths as `run_with`.
+    /// the request layer — the fleet's
+    /// [`workload_ledger`](Self::workload_ledger) steps in lockstep with
+    /// the energy loop through [`FleetRun::step_frame`]. Energy-only
+    /// dispatchers ignore the workload annotation on the outlook, so the
+    /// energy half of the run is byte-identical to `run_with` with the
+    /// same inner dispatcher; the workload totals land in
+    /// [`MultiSiteReport::load`].
     ///
     /// # Errors
     ///
@@ -344,72 +251,90 @@ impl MultiSiteEngine {
         dispatcher: &mut dyn RoutedDispatcher,
         config: RoutingConfig,
     ) -> Result<MultiSiteReport, SimError> {
-        if controllers.len() != self.sites.len() {
-            return Err(SimError::SiteMismatch {
-                site: controllers.len(),
-                what: "controller roster length differs from site roster",
-            });
-        }
-        if let Some(topology) = dispatcher.topology() {
-            if topology != &self.interconnect {
-                return Err(SimError::SiteMismatch {
-                    site: topology.sites(),
-                    what: "dispatcher topology differs from the fleet's interconnect",
-                });
-            }
-        }
-        let clock = self.sites[0].truth().clock;
-        let silent = self.interconnect.is_silent();
+        self.check_topology(dispatcher.topology())?;
         let mut workload = self.workload_ledger(config)?;
-        let mut runs = self
+        let mut run = self.begin()?;
+        while !run.is_done() {
+            run.step_frame(self, controllers, dispatcher, Some(&mut workload))?;
+        }
+        let mut report = run.finish(self)?;
+        report.load = workload.finish();
+        Ok(report)
+    }
+
+    /// Starts a fleet run: one [`EngineRun`] per site and zero settlement
+    /// totals, stepped against this engine by [`FleetRun::step_frame`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates per-site [`Engine::begin`] failures.
+    pub fn begin(&self) -> Result<FleetRun, SimError> {
+        let runs = self
             .sites
             .iter()
             .map(Engine::begin)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut total = FrameSettlement::default();
-        for frame in 0..clock.frames() {
-            let load = workload.frame_load(frame);
-            if !silent {
-                let mut outlook = self.outlook_at(frame, &runs);
-                for (site, (avail, due)) in outlook
-                    .sites
-                    .iter_mut()
-                    .zip(load.available.iter().zip(&load.due))
-                {
-                    site.load_backlog = *avail;
-                    site.load_due = *due;
-                }
-                let directives = dispatcher.direct(&outlook);
-                if !directives.is_empty() {
-                    if directives.len() != self.sites.len() {
-                        return Err(SimError::SiteMismatch {
-                            site: directives.len(),
-                            what: "directive roster length differs from site roster",
-                        });
-                    }
-                    for (ctl, directive) in controllers.iter_mut().zip(&directives) {
-                        ctl.receive_directive(directive);
-                    }
-                }
-            }
-            step_sites(&mut runs, controllers, self.threads)?;
-            let ex = self.exchange_at(frame, &runs)?;
-            let (s, plan) = dispatcher.settle_routed(&ex, &load);
-            if !silent {
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
-            }
-            workload.settle(frame, &ex, &plan, &self.interconnect);
+            .collect::<Result<_, _>>()?;
+        Ok(FleetRun {
+            runs,
+            settled: FrameSettlement::default(),
+        })
+    }
+
+    /// Reinstates a checkpointed fleet run from per-site states (in site
+    /// order, each vetted by [`Engine::resume`]) and the settlement
+    /// totals booked so far.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SiteMismatch`] if the state roster differs from the
+    /// site roster; [`SimError::InvalidState`] if the sites disagree on
+    /// the next frame or a total is not finite and non-negative; plus
+    /// every [`Engine::resume`] rejection.
+    pub fn resume(
+        &self,
+        states: Vec<crate::EngineRunState>,
+        settled: FrameSettlement,
+    ) -> Result<FleetRun, SimError> {
+        if states.len() != self.sites.len() {
+            return Err(SimError::SiteMismatch {
+                site: states.len(),
+                what: "run-state roster length differs from site roster",
+            });
         }
-        let reports = runs
-            .into_iter()
-            .map(EngineRun::finish)
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut report = self.assemble(reports, total);
-        report.load = workload.finish();
-        Ok(report)
+        let totals = [settled.sent.mwh(), settled.delivered.mwh()];
+        let bills = [settled.savings.dollars(), settled.wheeling.dollars()];
+        if states.iter().any(|s| s.next_frame != states[0].next_frame)
+            || totals
+                .iter()
+                .chain(&bills)
+                .any(|v| !v.is_finite() || *v < 0.0)
+        {
+            return Err(SimError::InvalidState {
+                what: "sites disagree on the next frame, or a settlement total is invalid",
+            });
+        }
+        let runs = self
+            .sites
+            .iter()
+            .zip(states)
+            .map(|(site, state)| site.resume(state));
+        Ok(FleetRun {
+            runs: runs.collect::<Result<_, _>>()?,
+            settled,
+        })
+    }
+
+    /// Rejects a dispatcher that declares a topology other than the
+    /// fleet's: settling frames under different lines than the report
+    /// records would be silently wrong.
+    fn check_topology(&self, topology: Option<&Interconnect>) -> Result<(), SimError> {
+        match topology {
+            Some(topology) if topology != &self.interconnect => Err(SimError::SiteMismatch {
+                site: topology.sites(),
+                what: "dispatcher topology differs from the fleet's interconnect",
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// The fleet's workload ledger, built from each site's truth traces:
@@ -471,7 +396,7 @@ impl MultiSiteEngine {
     /// Panics if `runs` does not cover the site roster or has not
     /// completed exactly the frames before `frame`.
     #[must_use]
-    pub fn outlook_at(&self, frame: usize, runs: &[EngineRun<'_>]) -> FrameOutlook {
+    pub fn outlook_at(&self, frame: usize, runs: &[EngineRun]) -> FrameOutlook {
         assert_eq!(runs.len(), self.sites.len(), "run roster mismatch");
         let clock = self.sites[0].truth().clock;
         let t = clock.slots_per_frame();
@@ -534,11 +459,7 @@ impl MultiSiteEngine {
     ///
     /// [`SimError::SiteMismatch`] if a run has not completed `frame` yet
     /// (or is not recording slot outcomes).
-    pub fn exchange_at(
-        &self,
-        frame: usize,
-        runs: &[EngineRun<'_>],
-    ) -> Result<FrameExchange, SimError> {
+    pub fn exchange_at(&self, frame: usize, runs: &[EngineRun]) -> Result<FrameExchange, SimError> {
         let t = self.sites[0].truth().clock.slots_per_frame();
         let mut ex = empty_exchange(frame, runs.len());
         for (i, run) in runs.iter().enumerate() {
@@ -645,16 +566,170 @@ impl MultiSiteEngine {
                         &r.slot_outcomes.as_ref().expect("validated above")[range.clone()],
                     );
                 }
-                let s = settle(&ex);
-                total.sent += s.sent;
-                total.delivered += s.delivered;
-                total.savings += s.savings;
-                total.wheeling += s.wheeling;
+                book(&mut total, settle(&ex));
             }
         }
 
         Ok(self.assemble(reports, total))
     }
+}
+
+/// An in-flight fleet run: one [`EngineRun`] per site plus the
+/// settlement totals booked so far. Produced by
+/// [`MultiSiteEngine::begin`] (or [`MultiSiteEngine::resume`]) and, like
+/// [`EngineRun`], plain owned data stepped against its engine.
+#[derive(Debug, Clone)]
+pub struct FleetRun {
+    runs: Vec<EngineRun>,
+    settled: FrameSettlement,
+}
+
+impl FleetRun {
+    /// The per-site runs, in site-index order.
+    #[must_use]
+    pub fn runs(&self) -> &[EngineRun] {
+        &self.runs
+    }
+
+    /// Settlement totals booked over the frames stepped so far.
+    #[must_use]
+    pub fn settled(&self) -> FrameSettlement {
+        self.settled
+    }
+
+    /// Coarse frames completed so far (also the next frame to step).
+    #[must_use]
+    pub fn frames_completed(&self) -> usize {
+        self.runs.first().map_or(0, EngineRun::frames_completed)
+    }
+
+    /// Whether every coarse frame of the calendar has been stepped.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        self.runs.iter().all(EngineRun::is_done)
+    }
+
+    /// The fleet's one frame-lockstep sequence, which
+    /// [`MultiSiteEngine::run_with`], [`MultiSiteEngine::run_routed`] and
+    /// a live serve session all drive. Steps the next coarse frame `k`
+    /// and returns the directives applied before it:
+    ///
+    /// 1. with a `workload`, the ledger admits frame `k`'s arrivals
+    ///    ([`FleetWorkload::frame_load`]);
+    /// 2. unless the topology is silent, the dispatcher directs from the
+    ///    causal [`MultiSiteEngine::outlook_at`] (annotated with the
+    ///    ledger's per-site available and due load) and each site's
+    ///    controller receives its directive;
+    /// 3. every site steps the frame — inline in site order, or over the
+    ///    [`with_threads`](MultiSiteEngine::with_threads) budget, which
+    ///    is byte-identical since sites do not interact within a frame;
+    /// 4. the realized [`MultiSiteEngine::exchange_at`] is settled by
+    ///    [`RoutedDispatcher::settle_routed`], with the energy settlement
+    ///    booked unless the topology is silent. With a workload this
+    ///    runs every frame (a site can absorb its own curtailment) and
+    ///    the ledger applies the plan ([`FleetWorkload::settle`]).
+    ///    Without one it is skipped on a silent topology, and the
+    ///    dispatcher sees an inert load frame whose plan is dropped —
+    ///    through [`UnroutedDispatcher`], exactly one
+    ///    [`FleetDispatcher::settle`].
+    ///
+    /// A no-op once the run [`is_done`](Self::is_done).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::SiteMismatch`] if the controller, run or directive
+    /// roster differs in length from `fleet`'s site roster; propagates
+    /// per-site step failures.
+    pub fn step_frame(
+        &mut self,
+        fleet: &MultiSiteEngine,
+        controllers: &mut [Box<dyn Controller>],
+        dispatcher: &mut dyn RoutedDispatcher,
+        mut workload: Option<&mut FleetWorkload>,
+    ) -> Result<Vec<FrameDirective>, SimError> {
+        let n = fleet.sites.len();
+        if controllers.len() != n {
+            return Err(SimError::SiteMismatch {
+                site: controllers.len(),
+                what: "controller roster length differs from site roster",
+            });
+        }
+        if self.runs.len() != n {
+            return Err(SimError::SiteMismatch {
+                site: self.runs.len(),
+                what: "run roster length differs from site roster",
+            });
+        }
+        if self.is_done() {
+            return Ok(Vec::new());
+        }
+        let frame = self.frames_completed();
+        let silent = fleet.interconnect.is_silent();
+        let load = workload.as_deref_mut().map(|w| w.frame_load(frame));
+        let mut directives = Vec::new();
+        if !silent {
+            let mut outlook = fleet.outlook_at(frame, &self.runs);
+            if let Some(load) = &load {
+                for (site, (avail, due)) in outlook
+                    .sites
+                    .iter_mut()
+                    .zip(load.available.iter().zip(&load.due))
+                {
+                    site.load_backlog = *avail;
+                    site.load_due = *due;
+                }
+            }
+            directives = dispatcher.direct(&outlook);
+            if !directives.is_empty() && directives.len() != n {
+                return Err(SimError::SiteMismatch {
+                    site: directives.len(),
+                    what: "directive roster length differs from site roster",
+                });
+            }
+            for (ctl, directive) in controllers.iter_mut().zip(&directives) {
+                ctl.receive_directive(directive);
+            }
+        }
+        step_sites(&fleet.sites, &mut self.runs, controllers, fleet.threads)?;
+        if workload.is_none() && silent {
+            return Ok(directives);
+        }
+        let ex = fleet.exchange_at(frame, &self.runs)?;
+        let load = load.unwrap_or_else(|| LoadFrame {
+            frame,
+            available: vec![Energy::ZERO; n],
+            due: vec![Energy::ZERO; n],
+            spot: vec![0.0; n],
+        });
+        let (settled, plan) = dispatcher.settle_routed(&ex, &load);
+        if !silent {
+            book(&mut self.settled, settled);
+        }
+        if let Some(workload) = workload {
+            workload.settle(frame, &ex, &plan, &fleet.interconnect);
+        }
+        Ok(directives)
+    }
+
+    /// Seals every site's run and assembles the fleet report with the
+    /// settlement totals (a routed driver adds the workload totals).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RunIncomplete`] unless every frame has been stepped.
+    pub fn finish(self, fleet: &MultiSiteEngine) -> Result<MultiSiteReport, SimError> {
+        let runs = self.runs.into_iter().zip(&fleet.sites);
+        let reports = runs.map(|(run, site)| run.finish(site));
+        Ok(fleet.assemble(reports.collect::<Result<_, _>>()?, self.settled))
+    }
+}
+
+/// Adds one frame's settlement to the running totals.
+fn book(total: &mut FrameSettlement, s: FrameSettlement) {
+    total.sent += s.sent;
+    total.delivered += s.delivered;
+    total.savings += s.savings;
+    total.wheeling += s.wheeling;
 }
 
 /// Steps every site through one coarse frame, fanning the sites out over
@@ -665,20 +740,21 @@ impl MultiSiteEngine {
 /// order — so the outcome (including which error surfaces) is
 /// byte-identical to the inline serial loop at any thread count.
 fn step_sites(
-    runs: &mut [EngineRun<'_>],
+    sites: &[Engine],
+    runs: &mut [EngineRun],
     controllers: &mut [Box<dyn Controller>],
     threads: usize,
 ) -> Result<(), SimError> {
     let n = runs.len();
     let workers = threads.min(n).max(1);
     if workers == 1 {
-        for (run, ctl) in runs.iter_mut().zip(controllers.iter_mut()) {
-            run.step_frame(ctl.as_mut())?;
+        for ((site, run), ctl) in sites.iter().zip(runs.iter_mut()).zip(controllers) {
+            run.step_frame(site, ctl.as_mut())?;
         }
         return Ok(());
     }
     let next = AtomicUsize::new(0);
-    let cells: Vec<Mutex<(&mut EngineRun<'_>, &mut Box<dyn Controller>)>> = runs
+    let cells: Vec<Mutex<(&mut EngineRun, &mut Box<dyn Controller>)>> = runs
         .iter_mut()
         .zip(controllers.iter_mut())
         .map(Mutex::new)
@@ -695,7 +771,7 @@ fn step_sites(
                 // audit:allow(panic-unwrap): a poisoned cell means a sibling worker already panicked
                 let mut cell = cells[i].lock().expect("site cell poisoned");
                 let (run, ctl) = &mut *cell;
-                let out = run.step_frame(ctl.as_mut());
+                let out = run.step_frame(&sites[i], ctl.as_mut());
                 // audit:allow(panic-unwrap): a poisoned slot means a sibling worker already panicked
                 *slots[i].lock().expect("result slot poisoned") = Some(out);
             });
@@ -887,7 +963,7 @@ mod tests {
             .collect();
         MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(cap))
+            .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
     }
 
@@ -921,9 +997,6 @@ mod tests {
             MultiSiteEngine::new(vec![a, b]),
             Err(SimError::SiteMismatch { site: 1, .. })
         ));
-        assert!(fleet(1, 0.0)
-            .with_transfer_cap(Energy::from_mwh(-1.0))
-            .is_err());
         // A topology for the wrong roster size is rejected.
         assert!(matches!(
             fleet(2, 0.0).with_interconnect(Interconnect::decoupled(3).unwrap()),
@@ -977,7 +1050,7 @@ mod tests {
             .collect();
         MultiSiteEngine::new(engines)
             .unwrap()
-            .with_transfer_cap(Energy::from_mwh(cap))
+            .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(cap)).unwrap())
             .unwrap()
     }
 
@@ -1033,6 +1106,79 @@ mod tests {
             multi.run_routed(&mut eager_boxes(2), &mut wrong, RoutingConfig::icdcs13()),
             Err(SimError::SiteMismatch { site: 3, .. })
         ));
+    }
+
+    #[test]
+    fn fleet_run_resumes_mid_month_byte_identically() {
+        let multi = fleet(3, 1.5);
+        let full = multi.run(&mut eager_boxes(3)).unwrap();
+        for cut in 0..=3 {
+            let mut greedy = multi.interconnect().clone();
+            let mut dispatcher = crate::UnroutedDispatcher(&mut greedy);
+            let mut ctls = eager_boxes(3);
+            let mut run = multi.begin().unwrap();
+            for _ in 0..cut {
+                run.step_frame(&multi, &mut ctls, &mut dispatcher, None)
+                    .unwrap();
+            }
+            let states = run.runs().iter().map(EngineRun::state).collect();
+            let mut resumed = multi.resume(states, run.settled()).unwrap();
+            assert_eq!(resumed.frames_completed(), cut);
+            while !resumed.is_done() {
+                resumed
+                    .step_frame(&multi, &mut ctls, &mut dispatcher, None)
+                    .unwrap();
+            }
+            // Stepping past the end is inert.
+            let none = resumed
+                .step_frame(&multi, &mut ctls, &mut dispatcher, None)
+                .unwrap();
+            assert!(none.is_empty());
+            assert_eq!(resumed.finish(&multi).unwrap(), full, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn fleet_run_rejects_inconsistent_states_and_rosters() {
+        let multi = fleet(2, 1.0);
+        let mut greedy = multi.interconnect().clone();
+        let mut dispatcher = crate::UnroutedDispatcher(&mut greedy);
+        let mut run = multi.begin().unwrap();
+        assert!(matches!(
+            run.step_frame(&multi, &mut eager_boxes(3), &mut dispatcher, None),
+            Err(SimError::SiteMismatch { site: 3, .. })
+        ));
+        assert!(matches!(
+            run.step_frame(&fleet(3, 1.0), &mut eager_boxes(3), &mut dispatcher, None),
+            Err(SimError::SiteMismatch { site: 2, .. })
+        ));
+        run.step_frame(&multi, &mut eager_boxes(2), &mut dispatcher, None)
+            .unwrap();
+        assert!(matches!(
+            run.clone().finish(&multi),
+            Err(SimError::RunIncomplete { .. })
+        ));
+        let states: Vec<crate::EngineRunState> = run.runs().iter().map(EngineRun::state).collect();
+        let settled = run.settled();
+        assert!(matches!(
+            multi.resume(states[..1].to_vec(), settled),
+            Err(SimError::SiteMismatch { site: 1, .. })
+        ));
+        let mut behind = states.clone();
+        behind[1] = multi.sites()[1].begin().unwrap().state();
+        assert!(matches!(
+            multi.resume(behind, settled),
+            Err(SimError::InvalidState { .. })
+        ));
+        let negative = FrameSettlement {
+            sent: Energy::from_mwh(-1.0),
+            ..settled
+        };
+        assert!(matches!(
+            multi.resume(states.clone(), negative),
+            Err(SimError::InvalidState { .. })
+        ));
+        assert!(multi.resume(states, settled).is_ok());
     }
 
     #[test]

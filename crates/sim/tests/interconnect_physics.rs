@@ -303,7 +303,7 @@ fn planned_mode_never_costs_more_than_post_hoc_on_builtin_packs() {
                 .collect();
             let multi = MultiSiteEngine::new(engines)
                 .unwrap()
-                .with_transfer_cap(Energy::from_mwh(2.0))
+                .with_interconnect(Interconnect::pooled(sites, Energy::from_mwh(2.0)).unwrap())
                 .unwrap();
             let reports: Vec<RunReport> = multi
                 .sites()

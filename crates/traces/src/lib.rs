@@ -77,6 +77,6 @@ pub use price::{PriceModel, PriceTraces};
 pub use scenario::{paper_ddt_max, paper_month_traces, Scenario};
 pub use solar::SolarModel;
 pub use stats::{lag1_autocorrelation, SeriesStats};
-pub use trace::TraceSet;
+pub use trace::{FrameTraces, TraceSet};
 pub use wind::WindModel;
 pub use workload::WorkloadModel;

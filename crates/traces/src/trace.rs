@@ -151,6 +151,51 @@ impl TraceSet {
         Ok(())
     }
 
+    /// Overwrites coarse frame `frame` with `data`, checking only that
+    /// frame: each series must hold one entry per fine slot, every value
+    /// finite and non-negative. The arrival stream, if any, is left as it
+    /// is.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::InvalidParameter`] for a frame outside the calendar,
+    /// [`TraceError::LengthMismatch`] / [`TraceError::InvalidValue`] for
+    /// bad data. The set is unchanged on error.
+    pub fn write_frame(&mut self, frame: usize, data: &FrameTraces) -> Result<(), TraceError> {
+        if frame >= self.clock.frames() {
+            return Err(TraceError::InvalidParameter {
+                what: "frame",
+                requirement: "must lie within the calendar",
+            });
+        }
+        let t = self.clock.slots_per_frame();
+        let start = frame * t;
+        let energy = |x: &Energy| x.is_finite() && x.mwh() >= 0.0;
+        let price = |x: &Price| x.is_finite() && x.dollars_per_mwh() >= 0.0;
+        check_frame_series("demand_ds", &data.demand_ds, t, start, energy)?;
+        check_frame_series("demand_dt", &data.demand_dt, t, start, energy)?;
+        check_frame_series("renewable", &data.renewable, t, start, energy)?;
+        check_frame_series("price_lt", &[data.price_lt], 1, frame, price)?;
+        check_frame_series("price_rt", &data.price_rt, t, start, price)?;
+        let range = start..start + t;
+        for (dst, src) in [
+            (&mut self.demand_ds, &data.demand_ds),
+            (&mut self.demand_dt, &data.demand_dt),
+            (&mut self.renewable, &data.renewable),
+        ] {
+            if let Some(dst) = dst.get_mut(range.clone()) {
+                dst.copy_from_slice(src);
+            }
+        }
+        if let Some(dst) = self.price_rt.get_mut(range) {
+            dst.copy_from_slice(&data.price_rt);
+        }
+        if let Some(dst) = self.price_lt.get_mut(frame) {
+            *dst = data.price_lt;
+        }
+        Ok(())
+    }
+
     /// Total demand `d(τ) = d_ds(τ) + d_dt(τ)` at fine slot `slot`.
     ///
     /// # Panics
@@ -337,6 +382,48 @@ impl TraceSet {
     }
 }
 
+/// One coarse frame of trace data, as a streaming source delivers it:
+/// the frame's long-term price plus one entry per fine slot of each
+/// per-slot series. Written into a set with [`TraceSet::write_frame`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrameTraces {
+    /// Long-term-ahead market price of the frame.
+    pub price_lt: Price,
+    /// Real-time market price per fine slot.
+    pub price_rt: Vec<Price>,
+    /// Delay-sensitive demand per fine slot.
+    pub demand_ds: Vec<Energy>,
+    /// Delay-tolerant demand per fine slot.
+    pub demand_dt: Vec<Energy>,
+    /// Renewable production per fine slot.
+    pub renewable: Vec<Energy>,
+}
+
+/// Checks one frame's worth of a series: `len` entries, each `valid`;
+/// a bad value is reported at its slot index in the whole horizon.
+fn check_frame_series<T>(
+    series: &'static str,
+    xs: &[T],
+    len: usize,
+    start: usize,
+    valid: impl Fn(&T) -> bool,
+) -> Result<(), TraceError> {
+    if xs.len() != len {
+        return Err(TraceError::LengthMismatch {
+            series,
+            expected: len,
+            actual: xs.len(),
+        });
+    }
+    match xs.iter().position(|x| !valid(x)) {
+        Some(i) => Err(TraceError::InvalidValue {
+            series,
+            slot: start + i,
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,6 +442,55 @@ mod tests {
             vec![Price::from_dollars_per_mwh(50.0); 4],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn write_frame_overwrites_one_frame_and_checks_only_it() {
+        let mut set = tiny();
+        let frame = FrameTraces {
+            price_lt: Price::from_dollars_per_mwh(35.0),
+            price_rt: vec![Price::from_dollars_per_mwh(60.0); 2],
+            demand_ds: vec![Energy::from_mwh(2.0); 2],
+            demand_dt: vec![Energy::ZERO; 2],
+            renewable: vec![Energy::from_mwh(0.75); 2],
+        };
+        set.write_frame(1, &frame).unwrap();
+        assert_eq!(set.demand_ds[..2], [Energy::from_mwh(1.0); 2]);
+        assert_eq!(set.demand_ds[2..], [Energy::from_mwh(2.0); 2]);
+        assert_eq!(set.renewable[2..], [Energy::from_mwh(0.75); 2]);
+        assert_eq!(set.price_rt[2..], [Price::from_dollars_per_mwh(60.0); 2]);
+        assert_eq!(set.price_lt[1], Price::from_dollars_per_mwh(35.0));
+        set.validate().unwrap();
+
+        let before = set.clone();
+        assert!(matches!(
+            set.write_frame(2, &frame),
+            Err(TraceError::InvalidParameter { what: "frame", .. })
+        ));
+        let short = FrameTraces {
+            demand_dt: vec![Energy::ZERO],
+            ..frame.clone()
+        };
+        assert!(matches!(
+            set.write_frame(0, &short),
+            Err(TraceError::LengthMismatch {
+                series: "demand_dt",
+                expected: 2,
+                actual: 1
+            })
+        ));
+        let negative = FrameTraces {
+            price_rt: vec![Price::ZERO, Price::from_dollars_per_mwh(-1.0)],
+            ..frame
+        };
+        assert!(matches!(
+            set.write_frame(1, &negative),
+            Err(TraceError::InvalidValue {
+                series: "price_rt",
+                slot: 3
+            })
+        ));
+        assert_eq!(set, before, "a rejected frame leaves the set unchanged");
     }
 
     #[test]

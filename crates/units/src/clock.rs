@@ -41,9 +41,10 @@ impl SlotClock {
     ///
     /// # Errors
     ///
-    /// Returns [`UnitsError::ZeroCount`] if either count is zero, and
+    /// Returns [`UnitsError::ZeroCount`] if either count is zero,
     /// [`UnitsError::NotFinite`] / [`UnitsError::Negative`] if `slot_hours`
-    /// is not a finite positive number.
+    /// is not a finite positive number, and [`UnitsError::BelowResolution`]
+    /// if it rounds to zero millihours (the calendar's stored resolution).
     pub fn new(frames: usize, slots_per_frame: usize, slot_hours: f64) -> Result<Self, UnitsError> {
         if frames == 0 {
             return Err(UnitsError::ZeroCount { what: "frames" });
@@ -59,10 +60,14 @@ impl SlotClock {
         if slot_hours <= 0.0 {
             return Err(UnitsError::Negative { what: "slot_hours" });
         }
+        let slot_hours_milli = (slot_hours * 1_000.0).round() as u64;
+        if slot_hours_milli == 0 {
+            return Err(UnitsError::BelowResolution { what: "slot_hours" });
+        }
         Ok(SlotClock {
             frames,
             slots_per_frame,
-            slot_hours_milli: (slot_hours * 1_000.0).round() as u64,
+            slot_hours_milli,
         })
     }
 
@@ -268,6 +273,21 @@ mod tests {
         assert!(SlotClock::new(31, 24, 0.0).is_err());
         assert!(SlotClock::new(31, 24, -1.0).is_err());
         assert!(SlotClock::new(31, 24, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn rejects_slots_below_the_millihour_resolution() {
+        // A slot that rounds to 0 ms would zero every per-slot price and
+        // cap downstream: a degenerate calendar, rejected typed.
+        for hours in [1e-300, 1e-6, 0.000_49] {
+            assert_eq!(
+                SlotClock::new(31, 24, hours),
+                Err(UnitsError::BelowResolution { what: "slot_hours" }),
+                "slot_hours = {hours}"
+            );
+        }
+        // Half a millihour rounds up to the smallest representable slot.
+        assert_eq!(SlotClock::new(1, 1, 0.0005).unwrap().slot_hours(), 0.001);
     }
 
     #[test]

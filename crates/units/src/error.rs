@@ -21,6 +21,12 @@ pub enum UnitsError {
         /// Name of the offending count.
         what: &'static str,
     },
+    /// A positive value rounds to zero at the quantity's stored
+    /// resolution (a slot shorter than half a millihour).
+    BelowResolution {
+        /// Name of the offending quantity.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for UnitsError {
@@ -34,6 +40,9 @@ impl fmt::Display for UnitsError {
             }
             UnitsError::ZeroCount { what } => {
                 write!(f, "{what} must be at least 1")
+            }
+            UnitsError::BelowResolution { what } => {
+                write!(f, "{what} rounds to zero at its stored resolution")
             }
         }
     }
@@ -53,6 +62,11 @@ mod tests {
         assert_eq!(e.to_string(), "capacity must be non-negative");
         let e = UnitsError::ZeroCount { what: "frames" };
         assert_eq!(e.to_string(), "frames must be at least 1");
+        let e = UnitsError::BelowResolution { what: "slot_hours" };
+        assert_eq!(
+            e.to_string(),
+            "slot_hours rounds to zero at its stored resolution"
+        );
     }
 
     #[test]

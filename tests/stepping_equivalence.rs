@@ -53,10 +53,10 @@ fn assert_stepping_matches_run(engine: &Engine, params: SimParams, what: &str) {
         for k in 0..frames {
             assert_eq!(stepping.frames_completed(), k);
             assert!(!stepping.is_done());
-            stepping.step_frame(step_ctl.as_mut()).unwrap();
+            stepping.step_frame(engine, step_ctl.as_mut()).unwrap();
         }
         assert!(stepping.is_done());
-        let via_steps = stepping.finish().unwrap();
+        let via_steps = stepping.finish(engine).unwrap();
         let run_json = serde_json::to_string(&via_run).unwrap();
         let steps_json = serde_json::to_string(&via_steps).unwrap();
         assert_eq!(
@@ -105,8 +105,8 @@ fn finish_requires_every_frame_and_stepping_past_the_end_is_inert() {
 
     // Finishing early is an error that names the progress made.
     let mut partial = engine.begin().unwrap();
-    partial.step_frame(&mut ctl).unwrap();
-    match partial.finish() {
+    partial.step_frame(&engine, &mut ctl).unwrap();
+    match partial.finish(&engine) {
         Err(smartdpss::sim::SimError::RunIncomplete {
             frames_done,
             frames_total,
@@ -120,12 +120,12 @@ fn finish_requires_every_frame_and_stepping_past_the_end_is_inert() {
     let mut ctl = Impatient::two_markets();
     let mut full = engine.begin().unwrap();
     for _ in 0..3 {
-        full.step_frame(&mut ctl).unwrap();
+        full.step_frame(&engine, &mut ctl).unwrap();
     }
     assert!(full.is_done());
-    full.step_frame(&mut ctl).unwrap();
+    full.step_frame(&engine, &mut ctl).unwrap();
     assert_eq!(full.frames_completed(), 3);
-    let report = full.finish().unwrap();
+    let report = full.finish(&engine).unwrap();
     assert!(report.total_cost() > smartdpss::Money::ZERO);
     assert_eq!(report.energy_lt + report.energy_rt, {
         let mut ctl = Impatient::two_markets();
