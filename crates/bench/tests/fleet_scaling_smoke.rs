@@ -8,19 +8,24 @@
 //! cost, quadratic rebuild work, or per-solve allocation churn blows a
 //! budget long before it blows anyone's laptop.
 //!
+//! A fourth gate holds the lockstep loop flat in the horizon: over a
+//! routed 16-site year, a late frame must cost about what an early one
+//! does. Work that re-reads every past frame each frame makes the year
+//! quadratic and fails it.
+//!
 //! The budgets are deliberately loose (a shared CI runner is not a
 //! bench rig): each release run takes a small fraction of its budget on
 //! a warm container. In debug builds the tests are ignored — a
 //! wall-clock contract on an unoptimized build measures the compiler,
 //! not the code.
 
-// audit:allow-file(wall-clock): this gate exists to bound wall-clock time; the timing is asserted against a budget, never fed into results
+// audit:allow-file(wall-clock): these gates exist to bound wall-clock time and its growth over the horizon; the timings are asserted against budgets, never fed into results
 
 use std::time::Instant;
 
 use dpss_bench::PAPER_SEED;
-use dpss_core::{FleetPlanner, SmartDpss, SmartDpssConfig};
-use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, SimParams};
+use dpss_core::{FleetPlanner, RoutingPlanner, SmartDpss, SmartDpssConfig};
+use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, RoutingConfig, SimParams};
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
@@ -102,4 +107,76 @@ fn ring_512_coordinated_month_fits_the_wall_clock_budget() {
     // eta file and refactorization cadence carry this one.
     let ring = lossy_wheeled(Interconnect::ring(512, Energy::from_mwh(2.0)).unwrap());
     assert_month_fits(512, ring, 300.0, "512-site ring");
+}
+
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock smoke gate is a release-mode contract"
+)]
+fn routed_year_frame_cost_is_flat_in_the_horizon() {
+    // The `traffic-wave`/`flash-crowd` routed year: 16 sites on the
+    // routing ring, 365 daily frames, stepped by hand so each frame is
+    // timed on its own.
+    let clock = SlotClock::new(365, 24, 1.0).unwrap();
+    let params = SimParams::icdcs13();
+    let pack = ScenarioPack::builtin("traffic-wave").unwrap();
+    let variant = pack
+        .labels()
+        .iter()
+        .position(|l| *l == "flash-crowd")
+        .unwrap();
+    let sites = 16;
+    let engines: Vec<Engine> = (0..sites)
+        .map(|s| {
+            Engine::new(
+                params,
+                pack.generate_site(&clock, PAPER_SEED, variant, s).unwrap(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let multi = MultiSiteEngine::new(engines)
+        .unwrap()
+        .with_interconnect(dpss_bench::routing_interconnect(sites))
+        .unwrap();
+    let config = RoutingConfig::icdcs13();
+    // Each frame's time is its fastest over three identical years, so a
+    // burst of load on a shared runner cannot pose as growth.
+    let mut frame_secs = vec![f64::INFINITY; clock.frames()];
+    for _ in 0..3 {
+        let mut ctls: Vec<Box<dyn Controller>> = (0..sites)
+            .map(|_| {
+                Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
+                    as Box<dyn Controller>
+            })
+            .collect();
+        let planner = FleetPlanner::for_engine(&multi).with_coordination(true);
+        let mut router = RoutingPlanner::new(planner, config).unwrap();
+        let mut workload = multi.workload_ledger(config).unwrap();
+        let mut run = multi.begin().unwrap();
+        for secs in &mut frame_secs {
+            let start = Instant::now();
+            run.step_frame(&multi, &mut ctls, &mut router, Some(&mut workload))
+                .unwrap();
+            *secs = secs.min(start.elapsed().as_secs_f64());
+        }
+        assert!(run.is_done());
+    }
+    let window = 36;
+    let early = median(&frame_secs[..window]);
+    let late = median(&frame_secs[frame_secs.len() - window..]);
+    assert!(
+        late < 3.0 * early,
+        "the last {window} frames take {:.0} us each (median), the first {window} \
+         {:.0} us: per-frame cost grows with the horizon",
+        late * 1e6,
+        early * 1e6
+    );
 }

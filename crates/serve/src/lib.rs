@@ -57,6 +57,6 @@ pub use protocol::{Fault, RawRequest, Response, SCHEMA_VERSION};
 pub use server::{replay_file, serve, ServeOptions, ServeOutcome, SessionServer};
 pub use session::{
     tick_data, FleetSession, Session, SessionConfig, SessionSnapshot, SingleSession,
-    MAX_SLOT_RECORDS,
+    MAX_REQUEST_LINE_BYTES, MAX_SLOT_RECORDS,
 };
 pub use snapshot::{snapshot_salt, LoadedSnapshot, SnapshotFile, SnapshotStore, SNAPSHOT_MAGIC};

@@ -6,14 +6,14 @@
 //! log, which is what makes every session reproducible: replaying the
 //! log deterministically re-derives every response, byte for byte.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 
 use dpss_sim::RunReport;
 
 use crate::error::ServeError;
 use crate::protocol::{Fault, RawRequest, Response};
-use crate::session::{tick_data, Session, SessionConfig, SessionSnapshot};
+use crate::session::{tick_data, Session, SessionConfig, SessionSnapshot, MAX_REQUEST_LINE_BYTES};
 use crate::snapshot::SnapshotStore;
 
 /// How a serve loop should run.
@@ -269,6 +269,35 @@ fn emit(output: &mut dyn Write, response: &Response) -> Result<(), ServeError> {
         })
 }
 
+/// What [`read_request`] found.
+enum Line {
+    /// The input is exhausted.
+    End,
+    /// A line of at most [`MAX_REQUEST_LINE_BYTES`], newline stripped.
+    Fits,
+    /// A longer line: the buffer holds its first
+    /// `MAX_REQUEST_LINE_BYTES + 1` bytes, the rest was discarded.
+    TooLong,
+}
+
+/// Reads one request line into `line`, buffering at most
+/// `MAX_REQUEST_LINE_BYTES + 1` bytes of it and consuming the input
+/// through the line's newline (or to the end of input).
+fn read_request(input: &mut dyn BufRead, line: &mut Vec<u8>) -> std::io::Result<Line> {
+    line.clear();
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    if (&mut *input).take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(Line::End);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_REQUEST_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Line::TooLong);
+    }
+    Ok(Line::Fits)
+}
+
 /// Runs the request loop until the input closes or the client says
 /// `shutdown`.
 ///
@@ -276,7 +305,10 @@ fn emit(output: &mut dyn Write, response: &Response) -> Result<(), ServeError> {
 /// `options.resume` the second is the `Resumed` acknowledgment. Blank
 /// input lines are skipped. Every non-blank request line is appended to
 /// `options.log` (when set) *before* it is handled, so the log replays
-/// the session even if handling crashes the process.
+/// the session even if handling crashes the process. A line longer than
+/// [`MAX_REQUEST_LINE_BYTES`] is answered with one `protocol` error and
+/// logged as its first `MAX_REQUEST_LINE_BYTES + 1` bytes, which replay
+/// to the same error; a line that is not UTF-8 earns a `parse` error.
 ///
 /// # Errors
 ///
@@ -310,22 +342,30 @@ pub fn serve(
         let response = server.resume_latest()?;
         emit(output, &response)?;
     }
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        let n = input.read_line(&mut line).map_err(|e| ServeError::Io {
+        let read = read_request(input, &mut line).map_err(|e| ServeError::Io {
             context: "reading a request".to_owned(),
             message: e.to_string(),
         })?;
-        if n == 0 {
-            break;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let request = match read {
+            Line::End => break,
+            Line::TooLong => Err(Fault::new(
+                "protocol",
+                format!("request line exceeds the protocol cap of {MAX_REQUEST_LINE_BYTES} bytes"),
+            )),
+            Line::Fits => std::str::from_utf8(&line)
+                .map(str::trim)
+                .map_err(|e| Fault::new("parse", format!("request line is not UTF-8: {e}"))),
+        };
+        let logged = request
+            .as_ref()
+            .map_or(line.as_slice(), |text| text.as_bytes());
+        if logged.is_empty() {
             continue;
         }
         if let Some(log) = &mut log {
-            log.write_all(trimmed.as_bytes())
+            log.write_all(logged)
                 .and_then(|()| log.write_all(b"\n"))
                 .map_err(|e| ServeError::Io {
                     context: "appending to the request log".to_owned(),
@@ -333,7 +373,10 @@ pub fn serve(
                 })?;
         }
         outcome.requests += 1;
-        let (response, quit) = server.handle_line(trimmed);
+        let (response, quit) = match request {
+            Ok(text) => server.handle_line(text),
+            Err(fault) => (fault.into_response(), false),
+        };
         if matches!(response, Response::Error { .. }) {
             outcome.errors += 1;
         }

@@ -21,7 +21,8 @@
 //!
 //! Session size is capped before anything is allocated: at most 512
 //! sites and [`MAX_SLOT_RECORDS`] slot records (frames × slots per frame
-//! × sites).
+//! × sites). Each request is capped too: the serve loop reads at most
+//! [`MAX_REQUEST_LINE_BYTES`] of a line.
 
 use std::fmt;
 
@@ -48,6 +49,13 @@ const DEFAULT_LINK_CAP_MWH: f64 = 2.0;
 /// `init` can make the daemon allocate. 2^21 admits a 512-site month
 /// (380,928 records) with room to spare.
 pub const MAX_SLOT_RECORDS: usize = 1 << 21;
+
+/// Longest request line the serve loop reads, in bytes before the
+/// newline, so one request cannot make the daemon buffer without limit.
+/// A longer line earns one `protocol` error and is discarded through its
+/// newline; the session carries on. 16 MiB carries a stream `tick` of
+/// roughly 170,000 slots at 24 bytes per number.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 24;
 
 /// Everything needed to rebuild a session's engines from scratch:
 /// the deterministic trace recipe, the plant, and the control roster.

@@ -10,7 +10,8 @@ use std::io::{BufReader, Write};
 use std::process::{Command, Stdio};
 
 use dpss_serve::{
-    serve, RawRequest, Response, ServeOptions, SessionConfig, SessionServer, MAX_SLOT_RECORDS,
+    replay_file, serve, RawRequest, Response, ServeOptions, SessionConfig, SessionServer,
+    MAX_REQUEST_LINE_BYTES, MAX_SLOT_RECORDS,
 };
 
 /// Runs a request log through an in-memory serve loop and returns the
@@ -371,12 +372,14 @@ fn execution_errors_exit_one() {
 
 #[test]
 fn oversized_and_degenerate_inits_are_typed_errors_and_the_daemon_lives_on() {
-    // Each of these once aborted the daemon on allocation failure or
-    // started a zero-length-slot (zero-cost) month.
+    // Each of these once aborted the daemon on allocation failure,
+    // started a zero-length-slot (zero-cost) month, or saturated the
+    // calendar's millihour store.
     for init in [
         "{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":50000000}",
         "{\"cmd\":\"init\",\"mode\":\"stream\",\"slots_per_frame\":100000000}",
         "{\"cmd\":\"init\",\"mode\":\"scenario\",\"days\":2,\"slot_hours\":1e-300}",
+        "{\"cmd\":\"init\",\"mode\":\"scenario\",\"days\":2,\"slot_hours\":1e300}",
     ] {
         let (code, stdout, stderr) = run_binary(
             &[],
@@ -402,4 +405,83 @@ fn oversized_and_degenerate_inits_are_typed_errors_and_the_daemon_lives_on() {
             lines[3]
         );
     }
+}
+
+#[test]
+fn an_over_long_request_line_earns_one_protocol_error_and_replays() {
+    // A request body with no newline for MAX_REQUEST_LINE_BYTES + 1
+    // bytes, then a normal session: the long line is answered once and
+    // skipped through its newline.
+    let long = format!(
+        "{{\"cmd\":\"status\",\"pad\":\"{}\"}}",
+        "x".repeat(MAX_REQUEST_LINE_BYTES)
+    );
+    let log = format!(
+        "{long}\n\
+         {{\"cmd\":\"init\",\"mode\":\"stream\",\"days\":2,\"slots_per_frame\":2}}\n\
+         {{\"cmd\":\"status\"}}\n"
+    );
+    let (lines, outcome) = run_log(&log);
+    assert_eq!(lines.len(), 4, "hello plus one reply per request");
+    match parse(&lines[1]) {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "protocol");
+            assert!(
+                message.contains(&MAX_REQUEST_LINE_BYTES.to_string()),
+                "message names the cap: {message}"
+            );
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(parse(&lines[2]), Response::Started { .. }));
+    assert!(matches!(
+        parse(&lines[3]),
+        Response::Status { frame: 0, .. }
+    ));
+    assert_eq!((outcome.requests, outcome.errors), (3, 1));
+
+    // The request log keeps a capped prefix of the long line, and
+    // replaying the log reproduces the transcript byte for byte.
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire-long-line.ndjson");
+    let _ = std::fs::remove_file(&path);
+    let options = ServeOptions {
+        log: Some(path.clone()),
+        ..ServeOptions::default()
+    };
+    let mut recorded = Vec::new();
+    serve(&mut BufReader::new(log.as_bytes()), &mut recorded, &options).expect("serve runs");
+    let logged = std::fs::metadata(&path).expect("log is written").len();
+    assert!(
+        logged < (MAX_REQUEST_LINE_BYTES + 200) as u64,
+        "log is capped: {logged}"
+    );
+    let mut replayed = Vec::new();
+    replay_file(&path, &mut replayed, &ServeOptions::default()).expect("replay runs");
+    assert_eq!(replayed, recorded);
+
+    // A line of exactly the cap is read whole: it is just bad JSON.
+    let (lines, _) = run_log(&format!("{}\n", "x".repeat(MAX_REQUEST_LINE_BYTES)));
+    match parse(&lines[1]) {
+        Response::Error { kind, .. } => assert_eq!(kind, "parse"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_request_line_that_is_not_utf8_is_a_parse_error() {
+    let mut input = BufReader::new(&b"{\"cmd\":\"st\xffatus\"}\n{\"cmd\":\"status\"}\n"[..]);
+    let mut output = Vec::new();
+    let outcome = serve(&mut input, &mut output, &ServeOptions::default())
+        .expect("a bad line does not end the loop");
+    let text = String::from_utf8(output).expect("transcript is UTF-8");
+    let kinds: Vec<String> = text
+        .lines()
+        .skip(1)
+        .map(|line| match parse(line) {
+            Response::Error { kind, .. } => kind,
+            other => panic!("expected Error, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(kinds, ["parse", "session"]);
+    assert_eq!(outcome.requests, 2);
 }

@@ -384,12 +384,18 @@ impl MultiSiteEngine {
 
     /// The fleet's causal outlook for coarse frame `frame`, built from
     /// the sites' in-flight runs: frame `frame − 1`'s realization
-    /// (curtailment, real-time need and average price, grid draw) plus
-    /// each site's current battery headroom and the coming frame's
-    /// *observed* long-term price. Frame 0 forecasts zeros. Public so
-    /// custom harnesses can drive the lockstep loop by hand — the
-    /// determinism suite does, to prove within-frame site order is
-    /// immaterial.
+    /// (curtailment, real-time need, grid draw), the running average
+    /// real-time price over every frame so far, each site's current
+    /// battery headroom and the coming frame's *observed* long-term
+    /// price. Frame 0 forecasts zeros. Public so custom harnesses can
+    /// drive the lockstep loop by hand — the determinism suite does, to
+    /// prove within-frame site order is immaterial.
+    ///
+    /// The running average is read from each run's totals
+    /// ([`EngineRun::report`]: real-time cost over real-time energy,
+    /// folded slot by slot as the run steps), not re-summed from the
+    /// recorded history, so the outlook costs O(sites) plus one frame
+    /// of slots per site, whatever the horizon.
     ///
     /// # Panics
     ///
@@ -405,9 +411,10 @@ impl MultiSiteEngine {
             .iter()
             .zip(runs)
             .map(|(site, run)| {
-                assert!(
-                    run.frames_completed() >= frame,
-                    "outlook for frame {frame} needs the previous frames stepped"
+                assert_eq!(
+                    run.frames_completed(),
+                    frame,
+                    "outlook for frame {frame} needs exactly the previous frames stepped"
                 );
                 let params = site.params();
                 let frame_budget = params.grid_slot_cap(clock.slot_hours()) * t as f64;
@@ -432,8 +439,10 @@ impl MultiSiteEngine {
                 // short and mean-reverting, so chasing the previous
                 // frame's price buys high after every spike, while the
                 // running average prices the regime the settlement will
-                // actually book savings at.
-                let (_, avg_price) = realized_rt(&run.outcomes()[..frame * t]);
+                // actually book savings at. The run's totals are the same
+                // slot-order fold `realized_rt` makes over the history.
+                let totals = run.report();
+                let avg_price = average_price(totals.energy_rt, totals.cost_rt);
                 let draw: Energy = prev.iter().map(SlotOutcome::grid_draw).sum();
                 SiteOutlook {
                     expected_surplus: prev.iter().map(|o| o.waste).sum(),
@@ -792,12 +801,16 @@ fn step_sites(
 fn realized_rt(outcomes: &[SlotOutcome]) -> (Energy, f64) {
     let rt: Energy = outcomes.iter().map(|o| o.purchase_rt).sum();
     let rt_cost: Money = outcomes.iter().map(|o| o.cost.real_time).sum();
-    let price = if rt > Energy::ZERO {
-        rt_cost.dollars() / rt.mwh()
+    (rt, average_price(rt, rt_cost))
+}
+
+/// Real-time cost per MWh bought, or 0 when nothing was bought.
+fn average_price(energy: Energy, cost: Money) -> f64 {
+    if energy > Energy::ZERO {
+        cost.dollars() / energy.mwh()
     } else {
         0.0
-    };
-    (rt, price)
+    }
 }
 
 fn empty_exchange(frame: usize, sites: usize) -> FrameExchange {
@@ -1337,5 +1350,213 @@ mod tests {
         assert!(report.average_delay_slots() > 0.0);
         let s = report.summary();
         assert!(s.contains("2 sites"), "{s}");
+    }
+
+    /// Buys the whole frame's grid allowance ahead and asks for a
+    /// negative-zero real-time purchase every slot: a site with no
+    /// real-time energy, whose purchase terms are all `-0.0`.
+    struct Abstain;
+    impl Controller for Abstain {
+        fn name(&self) -> &str {
+            "abstain"
+        }
+        fn plan_frame(&mut self, _: &FrameObservation, _: &SystemView) -> FrameDecision {
+            FrameDecision {
+                purchase_lt: Energy::from_mwh(1e9),
+            }
+        }
+        fn plan_slot(&mut self, _: &SlotObservation, _: &SystemView) -> SlotDecision {
+            SlotDecision {
+                purchase_rt: Energy::from_mwh(-0.0),
+                serve_fraction: 1.0,
+            }
+        }
+    }
+
+    /// Settles greedily and keeps every outlook the loop directs from.
+    struct Recording {
+        ic: Interconnect,
+        seen: Vec<FrameOutlook>,
+    }
+    impl FleetDispatcher for Recording {
+        fn topology(&self) -> Option<&Interconnect> {
+            Some(&self.ic)
+        }
+        fn direct(&mut self, outlook: &FrameOutlook) -> Vec<FrameDirective> {
+            self.seen.push(outlook.clone());
+            Vec::new()
+        }
+        fn settle(&mut self, ex: &FrameExchange) -> FrameSettlement {
+            self.ic.settle_greedy(ex)
+        }
+    }
+
+    fn price_bits(outlook: &FrameOutlook) -> Vec<u64> {
+        outlook
+            .sites
+            .iter()
+            .map(|s| s.expected_price.to_bits())
+            .collect()
+    }
+
+    /// Steps `run` through up to `frames` more frames, returning the
+    /// outlooks it directed from.
+    fn step_recording(
+        multi: &MultiSiteEngine,
+        run: &mut FleetRun,
+        ctls: &mut [Box<dyn Controller>],
+        frames: usize,
+    ) -> Vec<FrameOutlook> {
+        let mut recording = UnroutedDispatcher(Recording {
+            ic: multi.interconnect().clone(),
+            seen: Vec::new(),
+        });
+        for _ in 0..frames {
+            run.step_frame(multi, ctls, &mut recording, None).unwrap();
+        }
+        recording.0.seen
+    }
+
+    /// Asserts every outlook's price is bit-identical to the running
+    /// average re-summed over the full recorded history.
+    fn assert_prices_match_history(multi: &MultiSiteEngine, run: &FleetRun, seen: &[FrameOutlook]) {
+        let t = multi.sites()[0].truth().clock.slots_per_frame();
+        for outlook in seen {
+            let want: Vec<u64> = run
+                .runs()
+                .iter()
+                .map(|r| realized_rt(&r.outcomes()[..outlook.frame * t]).1.to_bits())
+                .collect();
+            assert_eq!(price_bits(outlook), want, "frame {}", outlook.frame);
+        }
+    }
+
+    #[test]
+    fn outlook_price_is_bit_identical_to_the_full_history_average() {
+        let clock = SlotClock::new(6, 24, 1.0).unwrap();
+        let pack = ScenarioPack::builtin("price-spike").unwrap();
+        let engines: Vec<Engine> = (0..3)
+            .map(|s| {
+                Engine::new(
+                    SimParams::icdcs13(),
+                    pack.generate_site(&clock, 42, 3, s).unwrap(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let multi = MultiSiteEngine::new(engines)
+            .unwrap()
+            .with_interconnect(Interconnect::pooled(3, Energy::from_mwh(1.5)).unwrap())
+            .unwrap();
+        let ctls = || -> Vec<Box<dyn Controller>> {
+            vec![Box::new(Eager), Box::new(Eager), Box::new(Abstain)]
+        };
+
+        let mut full = multi.begin().unwrap();
+        let seen = step_recording(&multi, &mut full, &mut ctls(), clock.frames());
+        assert_eq!(
+            seen.len(),
+            clock.frames(),
+            "one outlook per frame, frame 0 included"
+        );
+        assert_prices_match_history(&multi, &full, &seen);
+        // The 0-price branch is exercised: the abstaining site booked no
+        // real-time energy, while the eager sites bought at a real price.
+        assert_eq!(full.runs()[2].report().energy_rt, Energy::ZERO);
+        let last = &seen[clock.frames() - 1].sites;
+        assert!(last[0].expected_price > 0.0 && last[1].expected_price > 0.0);
+        assert_eq!(last[2].expected_price.to_bits(), 0.0f64.to_bits());
+
+        // A run continued from mid-month states reads the totals the
+        // state carried, and directs from the same outlooks.
+        for cut in [1, 4] {
+            let mut ctl = ctls();
+            let mut run = multi.begin().unwrap();
+            let head = step_recording(&multi, &mut run, &mut ctl, cut);
+            let states = run.runs().iter().map(EngineRun::state).collect();
+            let mut resumed = multi.resume(states, run.settled()).unwrap();
+            let tail = step_recording(&multi, &mut resumed, &mut ctl, clock.frames() - cut);
+            assert!(resumed.is_done());
+            assert_prices_match_history(&multi, &resumed, &tail);
+            let both: Vec<_> = head.iter().chain(&tail).map(price_bits).collect();
+            let once: Vec<_> = seen.iter().map(price_bits).collect();
+            assert_eq!(both, once, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn running_totals_differ_from_the_history_sum_only_in_an_all_negative_zero_sign() {
+        // The run's totals fold from +0.0 (`Money::ZERO`, `Energy::ZERO`);
+        // std's `f64` `Sum` folds from -0.0. Adding a non-zero or a +0.0
+        // term gives the same bits from either start, so the two folds
+        // agree unless every term is -0.0. Enumerate every slot history
+        // up to three slots long over the values a validated run can
+        // book: energies and prices in {-0.0, +0.0, positive}.
+        let values = [-0.0, 0.0, 0.25, 3.0];
+        let mut slots = Vec::new();
+        for g in values {
+            for p in values {
+                slots.push((g, p));
+            }
+        }
+        let mut histories: Vec<Vec<(f64, f64)>> = vec![Vec::new()];
+        let mut frontier = histories.clone();
+        for _ in 0..3 {
+            frontier = frontier
+                .iter()
+                .flat_map(|h| {
+                    slots.iter().map(move |&slot| {
+                        let mut h = h.clone();
+                        h.push(slot);
+                        h
+                    })
+                })
+                .collect();
+            histories.extend(frontier.iter().cloned());
+        }
+        let mut flips = 0;
+        for history in &histories {
+            let outcomes: Vec<(Energy, Money)> = history
+                .iter()
+                .map(|&(g, p)| {
+                    let g = Energy::from_mwh(g);
+                    (g, g * Price::from_dollars_per_mwh(p))
+                })
+                .collect();
+            let (mut energy, mut cost) = (Energy::ZERO, Money::ZERO);
+            for &(g, c) in &outcomes {
+                energy += g;
+                cost += c;
+            }
+            let summed_energy: Energy = outcomes.iter().map(|o| o.0).sum();
+            let summed_cost: Money = outcomes.iter().map(|o| o.1).sum();
+            let neg_zero = |x: f64| x == 0.0 && x.is_sign_negative();
+            if !outcomes.iter().all(|o| neg_zero(o.0.mwh())) {
+                assert_eq!(energy.mwh().to_bits(), summed_energy.mwh().to_bits());
+            }
+            if !outcomes.iter().all(|o| neg_zero(o.1.dollars())) {
+                assert_eq!(cost.dollars().to_bits(), summed_cost.dollars().to_bits());
+            }
+            // The outlook's price: the totals' quotient against the
+            // history's. An all-(-0.0) energy history takes the 0-price
+            // branch on both sides, so only the sign of a zero price can
+            // differ — and only when real-time energy was bought at a
+            // quoted price of exactly -0.0 $/MWh (validation admits it;
+            // the generators clamp to a +0.0 floor and never emit it).
+            let ours = average_price(energy, cost);
+            let theirs = average_price(summed_energy, summed_cost);
+            assert_eq!(ours, theirs, "the value never differs: {history:?}");
+            if ours.to_bits() != theirs.to_bits() {
+                flips += 1;
+                assert!(
+                    history.iter().any(|&(g, p)| g > 0.0 && neg_zero(p)),
+                    "only a purchase at -0.0 $/MWh flips the sign: {history:?}"
+                );
+            }
+        }
+        assert!(
+            flips > 0,
+            "the enumeration reaches the negative-zero-price case"
+        );
     }
 }

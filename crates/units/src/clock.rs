@@ -43,8 +43,10 @@ impl SlotClock {
     ///
     /// Returns [`UnitsError::ZeroCount`] if either count is zero,
     /// [`UnitsError::NotFinite`] / [`UnitsError::Negative`] if `slot_hours`
-    /// is not a finite positive number, and [`UnitsError::BelowResolution`]
-    /// if it rounds to zero millihours (the calendar's stored resolution).
+    /// is not a finite positive number, [`UnitsError::BelowResolution`]
+    /// if it rounds to zero millihours (the calendar's stored resolution),
+    /// and [`UnitsError::AboveRange`] if its millihours do not fit the
+    /// stored `u64` exactly.
     pub fn new(frames: usize, slots_per_frame: usize, slot_hours: f64) -> Result<Self, UnitsError> {
         if frames == 0 {
             return Err(UnitsError::ZeroCount { what: "frames" });
@@ -60,7 +62,13 @@ impl SlotClock {
         if slot_hours <= 0.0 {
             return Err(UnitsError::Negative { what: "slot_hours" });
         }
-        let slot_hours_milli = (slot_hours * 1_000.0).round() as u64;
+        let millis = (slot_hours * 1_000.0).round();
+        // 2^64: every integral f64 below it converts to u64 exactly; at or
+        // above it the cast saturates.
+        if millis >= 18_446_744_073_709_551_616.0 {
+            return Err(UnitsError::AboveRange { what: "slot_hours" });
+        }
+        let slot_hours_milli = millis as u64;
         if slot_hours_milli == 0 {
             return Err(UnitsError::BelowResolution { what: "slot_hours" });
         }
@@ -288,6 +296,24 @@ mod tests {
         }
         // Half a millihour rounds up to the smallest representable slot.
         assert_eq!(SlotClock::new(1, 1, 0.0005).unwrap().slot_hours(), 0.001);
+    }
+
+    #[test]
+    fn rejects_slots_whose_millihours_saturate_the_store() {
+        // Once saturated, every huge slot would read back as the same
+        // 2^64 − 1 millihours: a silently different calendar.
+        let huge = 2f64.powi(55); // 2^55 · 1000 millihours > 2^64
+        for hours in [1e300, f64::MAX, huge] {
+            assert_eq!(
+                SlotClock::new(31, 24, hours),
+                Err(UnitsError::AboveRange { what: "slot_hours" }),
+                "slot_hours = {hours}"
+            );
+        }
+        // Half that is 125 · 2^57 < 2^64 millihours: stored exactly.
+        let c = SlotClock::new(1, 1, huge / 2.0).unwrap();
+        assert_eq!(c.slot_hours_milli, 125 << 57);
+        assert_eq!(c.slot_hours(), huge / 2.0);
     }
 
     #[test]

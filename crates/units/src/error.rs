@@ -27,6 +27,12 @@ pub enum UnitsError {
         /// Name of the offending quantity.
         what: &'static str,
     },
+    /// A value is too large for the quantity's stored representation to
+    /// hold exactly (a slot of 2^64 millihours or more).
+    AboveRange {
+        /// Name of the offending quantity.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for UnitsError {
@@ -43,6 +49,9 @@ impl fmt::Display for UnitsError {
             }
             UnitsError::BelowResolution { what } => {
                 write!(f, "{what} rounds to zero at its stored resolution")
+            }
+            UnitsError::AboveRange { what } => {
+                write!(f, "{what} is too large to store exactly")
             }
         }
     }
@@ -67,6 +76,8 @@ mod tests {
             e.to_string(),
             "slot_hours rounds to zero at its stored resolution"
         );
+        let e = UnitsError::AboveRange { what: "slot_hours" };
+        assert_eq!(e.to_string(), "slot_hours is too large to store exactly");
     }
 
     #[test]
