@@ -13,13 +13,19 @@
 //! does. Work that re-reads every past frame each frame makes the year
 //! quadratic and fails it.
 //!
+//! A fifth holds the network kernel's cost per pivot nearly flat in the
+//! basis row count: from a 64-site to a 512-site ring (8× the rows) a
+//! pivot may cost at most 7× more. A kernel pass that scans every row of
+//! a mostly-zero work vector, where it could walk the vector's nonzero
+//! pattern, makes a pivot cost grow with the rows and fails it.
+//!
 //! The budgets are deliberately loose (a shared CI runner is not a
 //! bench rig): each release run takes a small fraction of its budget on
 //! a warm container. In debug builds the tests are ignored — a
 //! wall-clock contract on an unoptimized build measures the compiler,
 //! not the code.
 
-// audit:allow-file(wall-clock): these gates exist to bound wall-clock time and its growth over the horizon; the timings are asserted against budgets, never fed into results
+// audit:allow-file(wall-clock): these gates bound wall-clock time and its growth over the horizon and with the basis row count; the timings are asserted against budgets, never fed into results
 
 use std::time::Instant;
 
@@ -29,14 +35,13 @@ use dpss_sim::{Controller, Engine, Interconnect, MultiSiteEngine, RoutingConfig,
 use dpss_traces::ScenarioPack;
 use dpss_units::{Energy, Price, SlotClock};
 
-/// Runs one coordinated month of the price-spike stressed variant over
-/// `topology` and asserts it fits `budget_secs`.
-fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, label: &str) {
+/// The price-spike stressed variant's month over `topology`, serial.
+fn stressed_month(topology: Interconnect) -> MultiSiteEngine {
     let clock = SlotClock::icdcs13_month();
     let params = SimParams::icdcs13();
     let pack = ScenarioPack::builtin("price-spike").unwrap();
     let stressed = 3usize;
-    let engines: Vec<Engine> = (0..sites)
+    let engines: Vec<Engine> = (0..topology.sites())
         .map(|s| {
             Engine::new(
                 params,
@@ -45,17 +50,28 @@ fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, lab
             .unwrap()
         })
         .collect();
-    let multi = MultiSiteEngine::new(engines)
+    MultiSiteEngine::new(engines)
         .unwrap()
         .with_interconnect(topology)
         .unwrap()
-        .with_threads(8);
-    let mut ctls: Vec<Box<dyn Controller>> = (0..sites)
+}
+
+/// One fresh SmartDPSS controller per site of `multi`.
+fn controllers(multi: &MultiSiteEngine) -> Vec<Box<dyn Controller>> {
+    let (params, clock) = (SimParams::icdcs13(), SlotClock::icdcs13_month());
+    (0..multi.site_count())
         .map(|_| {
             Box::new(SmartDpss::new(SmartDpssConfig::icdcs13(), params, clock).unwrap())
                 as Box<dyn Controller>
         })
-        .collect();
+        .collect()
+}
+
+/// Runs one coordinated month of the price-spike stressed variant over
+/// `topology` and asserts it fits `budget_secs`.
+fn assert_month_fits(sites: usize, topology: Interconnect, budget_secs: f64, label: &str) {
+    let multi = stressed_month(topology).with_threads(8);
+    let mut ctls = controllers(&multi);
     let mut dispatcher = FleetPlanner::for_engine(&multi).with_coordination(true);
     let start = Instant::now();
     let report = multi.run_with(&mut ctls, &mut dispatcher).unwrap();
@@ -107,6 +123,49 @@ fn ring_512_coordinated_month_fits_the_wall_clock_budget() {
     // eta file and refactorization cadence carry this one.
     let ring = lossy_wheeled(Interconnect::ring(512, Energy::from_mwh(2.0)).unwrap());
     assert_month_fits(512, ring, 300.0, "512-site ring");
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock smoke gate is a release-mode contract"
+)]
+fn kernel_cost_per_pivot_stays_nearly_flat_in_the_row_count() {
+    // Coordinated months on a 64- and a 512-site lossy ring, one thread.
+    // Each size's kernel ns per pivot is its fastest of three months, run
+    // alternately so a burst of load on a shared runner hits both sizes.
+    let rings: Vec<MultiSiteEngine> = [64, 512]
+        .iter()
+        .map(|&n| {
+            stressed_month(lossy_wheeled(
+                Interconnect::ring(n, Energy::from_mwh(2.0)).unwrap(),
+            ))
+        })
+        .collect();
+    let mut ns_per_pivot = [f64::INFINITY; 2];
+    let mut pivots = [0u64; 2];
+    for _ in 0..3 {
+        for (k, multi) in rings.iter().enumerate() {
+            let mut dispatcher = FleetPlanner::for_engine(multi).with_coordination(true);
+            multi
+                .run_with(&mut controllers(multi), &mut dispatcher)
+                .unwrap();
+            let stats = dispatcher.solver_stats();
+            pivots[k] = stats.pivots;
+            ns_per_pivot[k] = ns_per_pivot[k].min(stats.solve_ns as f64 / stats.pivots as f64);
+        }
+    }
+    // The pivot path itself is deterministic: a kernel change that moves
+    // it changes the LP answers' vertices, not just their cost.
+    assert_eq!(pivots, [5_868, 48_145], "the kernel's pivot count moved");
+    let growth = ns_per_pivot[1] / ns_per_pivot[0];
+    assert!(
+        growth < 7.0,
+        "a pivot costs {:.0} ns at 512 sites and {:.0} ns at 64 ({growth:.1}x for 8x the \
+         rows): a kernel pass scales with the row count",
+        ns_per_pivot[1],
+        ns_per_pivot[0]
+    );
 }
 
 fn median(xs: &[f64]) -> f64 {

@@ -199,7 +199,8 @@ impl Engine {
     ///
     /// [`SimError::InvalidState`] if the state's progress or recorded
     /// outcomes disagree with this engine's calendar and recording
-    /// configuration; plus the per-component validation of
+    /// configuration, or a report total is not finite (or, for an
+    /// energy total, negative); plus the per-component validation of
     /// [`Battery::from_state`] and [`DemandQueue::from_state`].
     pub fn resume(&self, state: crate::EngineRunState) -> Result<EngineRun, SimError> {
         let clock = self.truth.clock;
@@ -228,6 +229,41 @@ impl Engine {
         if !state.lt_alloc.is_finite() || state.lt_alloc.mwh() < 0.0 {
             return Err(SimError::InvalidState {
                 what: "long-term allocation must be finite and non-negative",
+            });
+        }
+        // The fleet outlook divides the resumed totals (`cost_rt /
+        // energy_rt`), so a corrupt total would reach later frames.
+        let r = &state.report;
+        let costs = [
+            r.cost_lt,
+            r.cost_rt,
+            r.cost_battery,
+            r.cost_waste,
+            r.cost_peak,
+        ];
+        if !costs.iter().all(|c| c.is_finite()) {
+            return Err(SimError::InvalidState {
+                what: "report cost totals must be finite",
+            });
+        }
+        let energies = [
+            r.energy_lt,
+            r.energy_rt,
+            r.energy_emergency,
+            r.energy_renewable,
+            r.energy_wasted,
+            r.served_ds,
+            r.served_dt,
+            r.unserved_ds,
+            r.final_backlog,
+            r.max_backlog,
+            r.battery_min,
+            r.battery_max,
+            r.peak_grid_draw,
+        ];
+        if !energies.iter().all(|e| e.is_finite() && e.mwh() >= 0.0) {
+            return Err(SimError::InvalidState {
+                what: "report energy totals must be finite and non-negative",
             });
         }
         Ok(EngineRun {
@@ -909,9 +945,33 @@ mod tests {
         bad.queue.backlog += Energy::from_mwh(1.0);
         assert!(engine.resume(bad).is_err());
 
-        let mut bad = good;
+        let mut bad = good.clone();
         bad.report.slots = 3;
         assert!(engine.resume(bad).is_err());
+
+        // Report totals: money must be finite, energy finite and
+        // non-negative.
+        let corrupt: [fn(&mut RunReport); 6] = [
+            |r| r.cost_rt = dpss_units::Money::from_dollars(f64::NAN),
+            |r| r.cost_peak = dpss_units::Money::from_dollars(f64::INFINITY),
+            |r| r.energy_rt = Energy::from_mwh(f64::INFINITY),
+            |r| r.served_dt = Energy::from_mwh(-1.0),
+            |r| r.peak_grid_draw = Energy::from_mwh(f64::NAN),
+            |r| r.battery_min = Energy::from_mwh(-1e-9),
+        ];
+        for edit in corrupt {
+            let mut bad = good.clone();
+            edit(&mut bad.report);
+            assert!(matches!(
+                engine.resume(bad),
+                Err(SimError::InvalidState { .. })
+            ));
+        }
+        // A negative money total is a legitimate state (negative prices).
+        let mut credit = good.clone();
+        credit.report.cost_rt = dpss_units::Money::from_dollars(-5.0);
+        assert!(engine.resume(credit).is_ok());
+        assert!(engine.resume(good).is_ok());
     }
 
     #[test]

@@ -288,8 +288,9 @@ impl MultiSiteEngine {
     ///
     /// [`SimError::SiteMismatch`] if the state roster differs from the
     /// site roster; [`SimError::InvalidState`] if the sites disagree on
-    /// the next frame or a total is not finite and non-negative; plus
-    /// every [`Engine::resume`] rejection.
+    /// the next frame or a settlement total is not finite and
+    /// non-negative; plus every [`Engine::resume`] rejection (a site's
+    /// report totals included).
     pub fn resume(
         &self,
         states: Vec<crate::EngineRunState>,
@@ -1189,6 +1190,12 @@ mod tests {
         };
         assert!(matches!(
             multi.resume(states.clone(), negative),
+            Err(SimError::InvalidState { .. })
+        ));
+        let mut corrupt = states.clone();
+        corrupt[1].report.energy_rt = Energy::from_mwh(f64::NAN);
+        assert!(matches!(
+            multi.resume(corrupt, settled),
             Err(SimError::InvalidState { .. })
         ));
         assert!(multi.resume(states, settled).is_ok());
